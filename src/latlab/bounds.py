@@ -13,7 +13,7 @@ from typing import Optional, Tuple
 
 from .coloring import chromatic_number
 from .graph import FamilySpec, Graph, join
-from .labeling import TotalLabeling
+from .labeling import Labeling
 
 
 @dataclass(frozen=True)
@@ -48,7 +48,7 @@ class ConeUpperBound:
     value: int
     exact: bool
     base_graph: Graph
-    witness: Optional[TotalLabeling]
+    witness: Optional[Labeling]
 
 
 def chi_lat_lower_bound(g: Graph) -> int:
@@ -86,10 +86,6 @@ def chi_lat_upper_bound_via_cone(g: Graph, budget=None) -> Optional[ConeUpperBou
 # ---------------------------------------------------------------------------
 # Known-value table
 
-def _kv(quantity, low, high, status, citation) -> KnownResult:
-    return KnownResult(quantity, low, high, status, citation)
-
-
 def known_value(spec: FamilySpec) -> Optional[KnownResult]:
     """Proven (or conjectured) value of chi_lat / chi_la for a family.
 
@@ -99,31 +95,31 @@ def known_value(spec: FamilySpec) -> Optional[KnownResult]:
     kind, params = spec.kind, spec.params
     if kind == "empty":
         n = params[0]
-        return _kv("chi_lat", n, n, "theorem", "edgeless-definition")
+        return KnownResult("chi_lat", n, n, "theorem", "edgeless-definition")
     if kind == "complete":
         n = params[0]
         if n >= 1:
-            return _kv("chi_lat", n, n, "theorem", "complete-graphs")
+            return KnownResult("chi_lat", n, n, "theorem", "complete-graphs")
         return None
     if kind == "path":
         return _path_value(params[0])
     if kind == "cycle":
         n = params[0]
         v = 2 if n % 2 == 0 else 3
-        return _kv("chi_lat", v, v, "theorem", "cycles")
+        return KnownResult("chi_lat", v, v, "theorem", "cycles")
     if kind == "wheel":
         return _wheel_value(params[0])
     if kind == "fan":
         n = params[0]
         if n >= 3 and n % 2 == 1:
-            return _kv("chi_la", 3, 3, "theorem", "fans-odd-order")
+            return KnownResult("chi_la", 3, 3, "theorem", "fans-odd-order")
         return None
     if kind == "k2_plus_empty":
         n = params[0]
         if n == 0:
-            return _kv("chi_lat", 2, 2, "theorem", "complete-graphs")
+            return KnownResult("chi_lat", 2, 2, "theorem", "complete-graphs")
         v = 2 if n <= 2 else n
-        return _kv("chi_lat", v, v, "theorem", "k2-plus-isolated")
+        return KnownResult("chi_lat", v, v, "theorem", "k2-plus-isolated")
     if kind == "join_complete_cycle":
         m, n = params
         if m == 0:
@@ -133,9 +129,9 @@ def known_value(spec: FamilySpec) -> Optional[KnownResult]:
         # proven for K_m ∨ C_n when m+1 and n share parity (both >= 3)
         if m >= 2 and n >= 3:
             if m % 2 == 1 and n % 2 == 0:
-                return _kv("chi_lat", m + 2, m + 2, "theorem", "complete-join-cycle")
+                return KnownResult("chi_lat", m + 2, m + 2, "theorem", "complete-join-cycle")
             if m % 2 == 0 and n % 2 == 1:
-                return _kv("chi_lat", m + 3, m + 3, "theorem", "complete-join-cycle")
+                return KnownResult("chi_lat", m + 3, m + 3, "theorem", "complete-join-cycle")
         return None
     if kind == "cycle_join_empty":
         p, m = params
@@ -144,7 +140,7 @@ def known_value(spec: FamilySpec) -> Optional[KnownResult]:
         if m == 1:
             return _wheel_value(p)
         if m == 2 and p % 2 == 1:
-            return _kv("chi_lat", 4, 5, "range", "cycle-double-cone-lemma")
+            return KnownResult("chi_lat", 4, 5, "range", "cycle-double-cone-lemma")
         return None
     if kind == "complete_bipartite":
         return _bipartite_value(*params)
@@ -153,22 +149,22 @@ def known_value(spec: FamilySpec) -> Optional[KnownResult]:
 
 def _path_value(n: int) -> Optional[KnownResult]:
     if n == 1:
-        return _kv("chi_lat", 1, 1, "theorem", "complete-graphs")
+        return KnownResult("chi_lat", 1, 1, "theorem", "complete-graphs")
     if n == 4:
-        return _kv("chi_lat", 3, 3, "theorem", "even-paths")
+        return KnownResult("chi_lat", 3, 3, "theorem", "even-paths")
     if n % 2 == 0:
-        return _kv("chi_lat", 2, 2, "theorem", "even-paths")
+        return KnownResult("chi_lat", 2, 2, "theorem", "even-paths")
     if n in (3, 5, 7):
-        return _kv("chi_lat", 2, 2, "theorem", "odd-path-sequences")
-    return _kv("chi_lat", 2, 2, "conjecture", "odd-path-conjecture")
+        return KnownResult("chi_lat", 2, 2, "theorem", "odd-path-sequences")
+    return KnownResult("chi_lat", 2, 2, "conjecture", "odd-path-conjecture")
 
 
 def _wheel_value(n: int) -> Optional[KnownResult]:
     if n == 3:
         # W3 is the complete graph on four vertices
-        return _kv("chi_lat", 4, 4, "theorem", "complete-graphs")
+        return KnownResult("chi_lat", 4, 4, "theorem", "complete-graphs")
     if n >= 4 and n % 2 == 0:
-        return _kv("chi_lat", 3, 3, "theorem", "even-wheels")
+        return KnownResult("chi_lat", 3, 3, "theorem", "even-wheels")
     return None
 
 
@@ -183,7 +179,7 @@ def _bipartite_value(a: int, b: int) -> Optional[KnownResult]:
         or (p % 2 != q % 2)
     )
     if covered:
-        return _kv("chi_lat", 2, 2, "theorem", "complete-bipartite")
+        return KnownResult("chi_lat", 2, 2, "theorem", "complete-bipartite")
     return None
 
 

@@ -16,6 +16,7 @@ from typing import Optional
 
 from .certificate import certificate_from_dict
 from .graph import Graph
+from .labeling import verify
 
 CACHE_ENV_VAR = "LATLAB_CACHE_DIR"
 
@@ -45,7 +46,7 @@ def load_entry(directory: Path, g: Graph, mode: str) -> Optional[dict]:
             raise ValueError("key mismatch")
         if entry.get("certificate") is not None:
             cert = certificate_from_dict(entry["certificate"])
-            if cert.graph != g or not cert.verify().valid:
+            if cert.graph != g or not verify(g, cert.labeling).valid:
                 raise ValueError("certificate failed re-verification")
             if entry.get("status") == "exact" and cert.distinct != entry.get("value"):
                 raise ValueError("certificate does not witness the stored value")

@@ -16,8 +16,7 @@ import jsonschema
 from . import __version__
 from .errors import CertificateError, IntegrityError, ParseError
 from .graph import Graph
-from .labeling import (EdgeLabeling, TotalLabeling, label_multiset_problems,
-                       verify_edge, verify_total)
+from .labeling import Labeling, verify
 
 FORMAT_TAG = "latlab-certificate/1"
 
@@ -59,54 +58,34 @@ SCHEMA = {
 @dataclass(frozen=True)
 class Certificate:
     graph: Graph
-    mode: str  # "total" | "edge"
-    vertex_labels: Optional[Tuple[int, ...]]
-    edge_labels: Tuple[int, ...]
+    labeling: Labeling
     weights: Tuple[int, ...]
     distinct: int
     provenance: dict = field(default_factory=dict)
     citation: Optional[str] = None
     extra: dict = field(default_factory=dict)
 
-    def labeling(self):
-        if self.mode == "total":
-            return TotalLabeling(self.vertex_labels, self.edge_labels)
-        return EdgeLabeling(self.edge_labels)
 
-    def verify(self):
-        if self.mode == "total":
-            return verify_total(self.graph, self.labeling())
-        return verify_edge(self.graph, self.labeling())
-
-
-def make_certificate(g: Graph, labeling, producer: str,
+def make_certificate(g: Graph, labeling: Labeling, producer: str,
                      citation: Optional[str] = None,
                      provenance_extra: Optional[dict] = None) -> Certificate:
     """Build a certificate from a labeling; weights are recomputed here."""
     provenance = {"producer": producer, "tool": f"latlab {__version__}"}
     if provenance_extra:
         provenance.update(provenance_extra)
-    if isinstance(labeling, TotalLabeling):
-        report = verify_total(g, labeling)
-        vertex_labels = tuple(labeling.vertex_labels)
-        mode = "total"
-    else:
-        report = verify_edge(g, labeling)
-        vertex_labels = None
-        mode = "edge"
-    return Certificate(g, mode, vertex_labels, tuple(labeling.edge_labels),
-                       report.profile.weights, report.profile.distinct_count,
-                       provenance, citation)
+    report = verify(g, labeling)
+    return Certificate(g, labeling, report.profile.weights,
+                       report.profile.distinct_count, provenance, citation)
 
 
 def certificate_to_dict(cert: Certificate) -> dict:
     doc = dict(cert.extra)
     doc["format"] = FORMAT_TAG
     doc["graph"] = {"p": cert.graph.p, "edges": [list(e) for e in cert.graph.edges]}
-    doc["mode"] = cert.mode
-    if cert.vertex_labels is not None:
-        doc["vertex_labels"] = list(cert.vertex_labels)
-    doc["edge_labels"] = list(cert.edge_labels)
+    doc["mode"] = cert.labeling.mode
+    if cert.labeling.vertex_labels is not None:
+        doc["vertex_labels"] = list(cert.labeling.vertex_labels)
+    doc["edge_labels"] = list(cert.labeling.edge_labels)
     doc["weights"] = list(cert.weights)
     doc["distinct"] = cert.distinct
     doc["provenance"] = cert.provenance
@@ -149,19 +128,16 @@ def certificate_from_dict(doc: dict) -> Certificate:
             f"{len(doc['weights'])} weights for p={graph.p}", path="$.weights")
 
     cert = Certificate(
-        graph, mode, vertex_labels, edge_labels, tuple(doc["weights"]),
+        graph, Labeling(vertex_labels, edge_labels), tuple(doc["weights"]),
         doc["distinct"], dict(doc["provenance"]), doc.get("citation"),
         {k: v for k, v in doc.items() if k not in _KNOWN_FIELDS})
 
     # re-verification: the document must reproduce its own claims
-    universe = graph.p + graph.q if mode == "total" else graph.q
-    labels = (vertex_labels or ()) + edge_labels
-    dups, gaps = label_multiset_problems(labels, universe)
-    if dups or gaps:
+    report = verify(graph, cert.labeling)
+    if not report.bijection_ok:
         raise IntegrityError(
-            f"labels are not a bijection onto [1,{universe}] "
-            f"(duplicates={list(dups)}, gaps={list(gaps)})")
-    report = cert.verify()
+            f"labels are not a bijection onto [1,{len(cert.labeling.labels)}] "
+            f"(duplicates={list(report.duplicates)}, gaps={list(report.gaps)})")
     if report.profile.weights != cert.weights:
         raise IntegrityError("stored weights do not match recomputed weights")
     if report.profile.distinct_count != cert.distinct:
@@ -184,14 +160,15 @@ def read_certificate(text: str) -> Certificate:
 def export_dot(cert: Certificate) -> str:
     """DOT rendering: vertices annotated label/weight (total) or induced
     value (edge); deterministic node order."""
+    vertex_labels = cert.labeling.vertex_labels
     lines = ["graph latlab {"]
     for v in range(cert.graph.p):
-        if cert.mode == "total":
-            ann = f"{cert.vertex_labels[v]}/{cert.weights[v]}"
+        if vertex_labels is not None:
+            ann = f"{vertex_labels[v]}/{cert.weights[v]}"
         else:
             ann = f"{cert.weights[v]}"
         lines.append(f'  v{v} [label="{ann}"];')
     for e, (u, v) in enumerate(cert.graph.edges):
-        lines.append(f'  v{u} -- v{v} [label="{cert.edge_labels[e]}"];')
+        lines.append(f'  v{u} -- v{v} [label="{cert.labeling.edge_labels[e]}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

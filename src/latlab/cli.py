@@ -15,8 +15,9 @@ from .cache import cache_dir, load_entry, store_entry
 from .certificate import (certificate_to_dict, export_dot, make_certificate,
                           read_certificate, write_certificate)
 from .constructions import construct_k2_plus_empty, construct_small_odd_path
-from .errors import LatlabError, ParameterError
+from .errors import LatlabError, ParameterError, ParseError
 from .graph import FamilySpec, format_graph, generate, graph6_decode, parse_graph
+from .labeling import verify
 from .solver import (SearchMode, SolveBudget, find_with_at_most_k,
                      solve_min_distinct)
 from .transforms import cone_to_total, double_cone_collapse, total_to_cone
@@ -29,10 +30,16 @@ EXIT_EXHAUSTED = 4
 
 
 def _read_source(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="ascii") as fh:
-        return fh.read()
+    name = "stdin" if path == "-" else path
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, "r", encoding="ascii") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise LatlabError(f"cannot read {name}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{name} is not {exc.encoding} text", exc.start) from exc
 
 
 def _emit(text: str, out_path=None):
@@ -44,8 +51,7 @@ def _emit(text: str, out_path=None):
 
 
 def _budget_from_args(args) -> SolveBudget:
-    return SolveBudget(max_nodes=args.max_nodes, max_millis=args.max_millis,
-                       deterministic=args.deterministic)
+    return SolveBudget(max_nodes=args.max_nodes, max_millis=args.max_millis)
 
 
 def _add_budget_flags(sp):
@@ -53,8 +59,6 @@ def _add_budget_flags(sp):
                     help="search-tree node limit")
     sp.add_argument("--max-millis", type=int, default=60_000,
                     help="wall-clock limit in milliseconds (default 60000)")
-    sp.add_argument("--deterministic", action="store_true", default=True,
-                    help="single-ordered deterministic search (default)")
 
 
 def _load_graph(args):
@@ -77,7 +81,7 @@ def cmd_gen(args) -> int:
 
 def cmd_verify(args) -> int:
     cert = read_certificate(_read_source(args.certificate))
-    report = cert.verify()
+    report = verify(cert.graph, cert.labeling)
     payload = {
         "valid": report.valid,
         "bijection_ok": report.bijection_ok,
@@ -161,26 +165,20 @@ def cmd_construct(args) -> int:
 def cmd_transform(args) -> int:
     cert = read_certificate(_read_source(args.certificate))
     if args.kind == "cone-to-total":
-        if cert.mode != "edge":
-            raise ParameterError("cone-to-total takes an edge-mode certificate")
         apex = args.apex if args.apex is not None else cert.graph.p - 1
-        g, f = cone_to_total(cert.graph, cert.labeling(), apex)
+        g, f = cone_to_total(cert.graph, cert.labeling, apex)
         out = make_certificate(g, f, "transform:cone-to-total",
                                provenance_extra={"apex": apex})
     elif args.kind == "total-to-cone":
-        if cert.mode != "total":
-            raise ParameterError("total-to-cone takes a total-mode certificate")
-        g, lab = total_to_cone(cert.graph, cert.labeling())
+        g, lab = total_to_cone(cert.graph, cert.labeling)
         out = make_certificate(g, lab, "transform:total-to-cone",
                                provenance_extra={"apex": g.p - 1})
     elif args.kind == "double-cone":
-        if cert.mode != "edge":
-            raise ParameterError("double-cone takes an edge-mode certificate")
         if args.apexes is None:
             apexes = (cert.graph.p - 2, cert.graph.p - 1)
         else:
             apexes = tuple(args.apexes)
-        g, f = double_cone_collapse(cert.graph, cert.labeling(), apexes)
+        g, f = double_cone_collapse(cert.graph, cert.labeling, apexes)
         out = make_certificate(
             g, f, "transform:double-cone-collapse",
             provenance_extra={"kept_apex": apexes[0], "consumed_apex": apexes[1]})

@@ -4,9 +4,9 @@ from __future__ import annotations
 
 from typing import Tuple
 
-from .errors import ParameterError, PreconditionError
+from .errors import IntegrityError, ParameterError, PreconditionError
 from .graph import FamilySpec, Graph, generate
-from .labeling import TotalLabeling, verify_total
+from .labeling import Labeling, check, verify
 
 # Interleaved label sequences v1, e1, v2, e2, ..., vn for short odd paths,
 # each achieving exactly two distinct weights.
@@ -17,43 +17,45 @@ ODD_PATH_SEQUENCES = {
 }
 
 
-def construct_k2_plus_empty(n: int) -> Tuple[Graph, TotalLabeling]:
+def construct_k2_plus_empty(n: int) -> Tuple[Graph, Labeling]:
     """K2 + On with the explicit labeling: endpoints 1 and 2, their edge 3,
     isolated vertex i labeled i+3.  Weights are (4, 5, 4, 5, 6, ...)."""
     if n < 1:
         raise ParameterError(f"k2_plus_empty construction requires n >= 1, got {n}")
     g = generate(FamilySpec("k2_plus_empty", (n,)))
     vertex_labels = (1, 2) + tuple(i + 3 for i in range(1, n + 1))
-    f = TotalLabeling(vertex_labels, (3,))
-    assert verify_total(g, f).valid
+    f = Labeling(vertex_labels, (3,))
+    check(g, f, "construct_k2_plus_empty")
     return g, f
 
 
-def construct_small_odd_path(n: int) -> Tuple[Graph, TotalLabeling]:
+def construct_small_odd_path(n: int) -> Tuple[Graph, Labeling]:
     """Two-weight total labelings of P3, P5, P7 from fixed sequences."""
     if n not in ODD_PATH_SEQUENCES:
         raise ParameterError(
             f"no closed-form odd-path labeling for n={n}; use the solver instead")
     seq = ODD_PATH_SEQUENCES[n]
     g = generate(FamilySpec("path", (n,)))
-    f = TotalLabeling(tuple(seq[0::2]), tuple(seq[1::2]))
-    assert verify_total(g, f).valid
+    f = Labeling(tuple(seq[0::2]), tuple(seq[1::2]))
+    check(g, f, "construct_small_odd_path")
     return g, f
 
 
-def path_from_cycle(cycle: Graph, f: TotalLabeling, doomed: int) -> Tuple[Graph, TotalLabeling]:
+def path_from_cycle(cycle: Graph, f: Labeling, doomed: int) -> Tuple[Graph, Labeling]:
     """Cut a labeled cycle at an edge labeled 1 and shift all labels down by 1.
 
     Every vertex weight drops by exactly 3, so validity and the distinct
     weight count carry over to the resulting path.  The path is re-indexed
     starting from the doomed edge's higher endpoint, walking away from it.
     """
+    if f.mode != "total":
+        raise PreconditionError("path_from_cycle takes a total labeling, got an edge one")
     n = cycle.p
     if n < 3 or cycle.q != n or any(cycle.degree(v) != 2 for v in range(n)):
         raise PreconditionError("input graph is not a cycle")
     if not (0 <= doomed < cycle.q):
         raise PreconditionError(f"edge id {doomed} out of range")
-    report = verify_total(cycle, f)
+    report = verify(cycle, f)
     if not report.valid:
         raise PreconditionError("input labeling is not a valid local antimagic total labeling")
     if f.edge_labels[doomed] != 1:
@@ -68,7 +70,8 @@ def path_from_cycle(cycle: Graph, f: TotalLabeling, doomed: int) -> Tuple[Graph,
         nxt = next(u for u in cycle.neighbors(cur) if u != prev)
         prev = cur
         walk.append(nxt)
-    assert walk[-1] == a
+    if walk[-1] != a:
+        raise IntegrityError(f"path_from_cycle: walk from {b} ended at {walk[-1]}, not {a}")
 
     edge_id = {e: i for i, e in enumerate(cycle.edges)}
     path = generate(FamilySpec("path", (n,)))
@@ -78,10 +81,8 @@ def path_from_cycle(cycle: Graph, f: TotalLabeling, doomed: int) -> Tuple[Graph,
         u, v = walk[i], walk[i + 1]
         e = edge_id[(min(u, v), max(u, v))]
         edge_labels.append(f.edge_labels[e] - 1)
-    out = TotalLabeling(vertex_labels, tuple(edge_labels))
+    out = Labeling(vertex_labels, tuple(edge_labels))
 
-    out_report = verify_total(path, out)
-    assert out_report.valid
     old_weights = report.profile.weights
-    assert all(out_report.profile.weights[i] == old_weights[walk[i]] - 3 for i in range(n))
+    check(path, out, "path_from_cycle", [old_weights[v] - 3 for v in walk])
     return path, out

@@ -37,22 +37,6 @@ class ParseError(LatlabError, ValueError):
         super().__init__(message)
 
 
-class BijectionError(LatlabError, ValueError):
-    """A labeling's label multiset is not exactly {1, ..., n}."""
-
-    def __init__(self, message: str, duplicates=(), gaps=()):
-        self.duplicates = tuple(duplicates)
-        self.gaps = tuple(gaps)
-        detail = []
-        if self.duplicates:
-            detail.append(f"duplicates={list(self.duplicates)}")
-        if self.gaps:
-            detail.append(f"gaps={list(self.gaps)}")
-        if detail:
-            message = f"{message}: " + ", ".join(detail)
-        super().__init__(message)
-
-
 class CertificateError(LatlabError, ValueError):
     """A certificate document violates the schema.  Carries the JSON field path."""
 

@@ -1,30 +1,36 @@
-"""Total and edge labelings, induced vertex weights, and local antimagic checks.
+"""Labelings, induced vertex weights, and local antimagic checks.
 
-A total labeling assigns labels to vertices and edges; the weight of a
-vertex is its own label plus the labels of its incident edges.  An edge
-labeling assigns labels to edges only; the induced vertex value is the
-incident-edge sum (0 for isolated vertices).  A labeling is locally
-antimagic when adjacent vertices never share a weight.
+A labeling assigns labels to edges and, for a total labeling, to vertices
+as well; an edge labeling has no vertex labels.  Either way the weight of a
+vertex is its own label (if it has one) plus the labels of its incident
+edges, so isolated vertices of an edge labeling weigh 0.  The labels must
+form a bijection onto {1, ..., n}, n being the number of labelled slots
+(p + q for a total labeling, q for an edge labeling).  A labeling is locally
+antimagic when, in addition, adjacent vertices never share a weight.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Optional, Tuple
 
-from .errors import BijectionError, ValidationError
+from .errors import IntegrityError, ValidationError
 from .graph import Graph
 
 
 @dataclass(frozen=True)
-class TotalLabeling:
-    vertex_labels: Tuple[int, ...]
+class Labeling:
+    vertex_labels: Optional[Tuple[int, ...]]  # None for an edge labeling
     edge_labels: Tuple[int, ...]
 
+    @property
+    def mode(self) -> str:
+        return "edge" if self.vertex_labels is None else "total"
 
-@dataclass(frozen=True)
-class EdgeLabeling:
-    edge_labels: Tuple[int, ...]
+    @property
+    def labels(self) -> Tuple[int, ...]:
+        """Every label, vertex labels first."""
+        return (self.vertex_labels or ()) + self.edge_labels
 
 
 @dataclass(frozen=True)
@@ -38,14 +44,19 @@ class WeightProfile:
 class VerifyReport:
     profile: WeightProfile
     violations: Tuple[int, ...]  # edge ids whose endpoints share a weight
-    bijection_ok: bool
+    duplicates: Tuple[int, ...]  # labels used more than once or outside {1, ..., n}
+    gaps: Tuple[int, ...]  # labels of {1, ..., n} never used
+
+    @property
+    def bijection_ok(self) -> bool:
+        return not (self.duplicates or self.gaps)
 
     @property
     def valid(self) -> bool:
         return self.bijection_ok and not self.violations
 
 
-def label_multiset_problems(labels, n):
+def _multiset_problems(labels, n):
     """Return (duplicates, gaps) of a label multiset vs {1, ..., n}."""
     seen = {}
     for x in labels:
@@ -56,71 +67,38 @@ def label_multiset_problems(labels, n):
     return tuple(duplicates + bad), tuple(gaps)
 
 
-def _check_bound_total(g: Graph, f: TotalLabeling):
-    if len(f.vertex_labels) != g.p or len(f.edge_labels) != g.q:
+def verify(g: Graph, lab: Labeling) -> VerifyReport:
+    """Full report on a candidate labeling.  Never raises on bad labels;
+    raises ValidationError only when the label counts do not fit g."""
+    vertex_labels = lab.vertex_labels
+    if (vertex_labels is not None and len(vertex_labels) != g.p) \
+            or len(lab.edge_labels) != g.q:
+        shape = "-" if vertex_labels is None else len(vertex_labels)
         raise ValidationError(
-            f"labeling shape ({len(f.vertex_labels)},{len(f.edge_labels)}) "
+            f"{lab.mode} labeling shape ({shape},{len(lab.edge_labels)}) "
             f"does not match graph (p={g.p}, q={g.q})")
-
-
-def _check_bound_edge(g: Graph, lab: EdgeLabeling):
-    if len(lab.edge_labels) != g.q:
-        raise ValidationError(f"edge labeling has {len(lab.edge_labels)} labels for q={g.q}")
-
-
-def _raw_total_weights(g: Graph, f: TotalLabeling) -> Tuple[int, ...]:
-    return tuple(
-        f.vertex_labels[v] + sum(f.edge_labels[e] for e in g.incident_edges(v))
-        for v in range(g.p))
-
-
-def _raw_edge_weights(g: Graph, lab: EdgeLabeling) -> Tuple[int, ...]:
-    return tuple(sum(lab.edge_labels[e] for e in g.incident_edges(v)) for v in range(g.p))
-
-
-def _profile(g: Graph, weights: Tuple[int, ...]) -> WeightProfile:
-    valid = all(weights[u] != weights[v] for u, v in g.edges)
-    return WeightProfile(weights, len(set(weights)), valid)
-
-
-def total_weights(g: Graph, f: TotalLabeling) -> WeightProfile:
-    """Weights of a bijective total labeling; raises BijectionError otherwise."""
-    _check_bound_total(g, f)
-    n = g.p + g.q
-    dups, gaps = label_multiset_problems(f.vertex_labels + f.edge_labels, n)
-    if dups or gaps:
-        raise BijectionError(f"total labels are not a bijection onto [1,{n}]", dups, gaps)
-    weights = _raw_total_weights(g, f)
-    # sanity: weight sums are forced by the bijection
-    assert sum(weights) == sum(f.vertex_labels) + 2 * sum(f.edge_labels)
-    assert sum(f.vertex_labels) + sum(f.edge_labels) == n * (n + 1) // 2
-    return _profile(g, weights)
-
-
-def edge_weights(g: Graph, lab: EdgeLabeling) -> WeightProfile:
-    """Induced vertex values of a bijective edge labeling."""
-    _check_bound_edge(g, lab)
-    dups, gaps = label_multiset_problems(lab.edge_labels, g.q)
-    if dups or gaps:
-        raise BijectionError(f"edge labels are not a bijection onto [1,{g.q}]", dups, gaps)
-    weights = _raw_edge_weights(g, lab)
-    assert sum(weights) == g.q * (g.q + 1)
-    return _profile(g, weights)
-
-
-def verify_total(g: Graph, f: TotalLabeling) -> VerifyReport:
-    """Full report on a candidate total labeling.  Never raises on bad labels."""
-    _check_bound_total(g, f)
-    dups, gaps = label_multiset_problems(f.vertex_labels + f.edge_labels, g.p + g.q)
-    weights = _raw_total_weights(g, f)
+    labels = lab.labels
+    duplicates, gaps = _multiset_problems(labels, len(labels))
+    weights = list(vertex_labels) if vertex_labels is not None else [0] * g.p
+    for (u, v), x in zip(g.edges, lab.edge_labels):
+        weights[u] += x
+        weights[v] += x
     violations = tuple(e for e, (u, v) in enumerate(g.edges) if weights[u] == weights[v])
-    return VerifyReport(_profile(g, weights), violations, not (dups or gaps))
+    profile = WeightProfile(tuple(weights), len(set(weights)), not violations)
+    return VerifyReport(profile, violations, duplicates, gaps)
 
 
-def verify_edge(g: Graph, lab: EdgeLabeling) -> VerifyReport:
-    """Full report on a candidate edge labeling.  Never raises on bad labels."""
-    _check_bound_edge(g, lab)
-    dups, gaps = label_multiset_problems(lab.edge_labels, g.q)
-    weights = _raw_edge_weights(g, lab)
-    violations = tuple(e for e, (u, v) in enumerate(g.edges) if weights[u] == weights[v])
-    return VerifyReport(_profile(g, weights), violations, not (dups or gaps))
+def check(g: Graph, lab: Labeling, what: str, weights=None) -> VerifyReport:
+    """verify(g, lab), raising IntegrityError unless the labeling is valid
+    and, when `weights` is given, induces exactly those weights.
+
+    This is how the package re-checks its own results; unlike `assert`, it
+    is not stripped by `python -O`.
+    """
+    report = verify(g, lab)
+    if not report.valid:
+        raise IntegrityError(f"{what}: not a valid local antimagic {lab.mode} labeling")
+    if weights is not None and report.profile.weights != tuple(weights):
+        raise IntegrityError(f"{what}: weights {list(report.profile.weights)} "
+                             f"differ from the expected {list(weights)}")
+    return report

@@ -13,11 +13,11 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 from itertools import islice, permutations
-from typing import Optional, Tuple, Union
+from typing import Optional
 
-from .errors import ParameterError, TooLargeError
+from .errors import IntegrityError, ParameterError, TooLargeError
 from .graph import FamilySpec, Graph
-from .labeling import (EdgeLabeling, TotalLabeling, verify_edge, verify_total)
+from .labeling import Labeling, check
 
 BRUTE_FORCE_UNIVERSE_LIMIT = 10
 
@@ -31,7 +31,6 @@ class SearchMode(str, Enum):
 class SolveBudget:
     max_nodes: Optional[int] = None
     max_millis: Optional[int] = None
-    deterministic: bool = True
 
     def __post_init__(self):
         if self.max_nodes is None and self.max_millis is None:
@@ -42,8 +41,6 @@ class SolveBudget:
 
 
 GENEROUS_BUDGET = SolveBudget(max_nodes=200_000_000, max_millis=600_000)
-
-Labeling = Union[TotalLabeling, EdgeLabeling]
 
 
 @dataclass(frozen=True)
@@ -110,8 +107,8 @@ def _slot_order(g: Graph, mode: SearchMode):
 
 def _labeling_from_assignment(g: Graph, mode: SearchMode, assign) -> Labeling:
     if mode is SearchMode.TOTAL:
-        return TotalLabeling(tuple(assign[: g.p]), tuple(assign[g.p:]))
-    return EdgeLabeling(tuple(assign))
+        return Labeling(tuple(assign[: g.p]), tuple(assign[g.p:]))
+    return Labeling(None, tuple(assign))
 
 
 def symmetry_orbit(g: Graph, spec: Optional[FamilySpec], mode: SearchMode):
@@ -308,12 +305,12 @@ def solve_min_distinct(g: Graph, mode: SearchMode, budget: SolveBudget = GENEROU
     best, nodes = state["best"], srch.nodes
     if best is not None and (closed or best <= lower):
         cert = _labeling_from_assignment(g, mode, state["assign"])
-        _assert_certificate(g, mode, cert, best)
+        _check_witness(g, cert, best)
         return SolveResult("exact", value=best, lower=best, upper=best,
                            certificate=cert, nodes_explored=nodes)
     if best is not None:
         cert = _labeling_from_assignment(g, mode, state["assign"])
-        _assert_certificate(g, mode, cert, best)
+        _check_witness(g, cert, best)
         return SolveResult("lower_upper", lower=lower, upper=best,
                            certificate=cert, nodes_explored=nodes)
     if closed:
@@ -329,7 +326,10 @@ def find_with_at_most_k(g: Graph, k: int, mode: SearchMode,
 
     Distinguishes found / definitively-none / unknown (budget ran out).
     An optional `accept(labeling)` predicate restricts which witnesses
-    count (e.g. require some edge to carry label 1).
+    count (e.g. require some edge to carry label 1).  The family symmetry
+    orbit is not used with `accept`: the predicate need not be invariant
+    under the orbit, so pruning symmetric labelings could hide every
+    accepted one and turn "found" into a false "none".
     """
     if k < 1:
         raise ParameterError(f"k must be >= 1, got {k}")
@@ -338,7 +338,7 @@ def find_with_at_most_k(g: Graph, k: int, mode: SearchMode,
         return FeasibilityResult("found", _labeling_from_assignment(g, mode, []))
     if mode is SearchMode.EDGE and _has_isolated_edge(g):
         return FeasibilityResult("none")
-    srch = _Search(g, mode, budget, family=family)
+    srch = _Search(g, mode, budget, family=family if accept is None else None)
     srch.allowed = k
     state = {"assign": None}
 
@@ -353,7 +353,7 @@ def find_with_at_most_k(g: Graph, k: int, mode: SearchMode,
         srch.search(0, on_solution)
     except _Stop:
         cert = _labeling_from_assignment(g, mode, state["assign"])
-        _assert_certificate(g, mode, cert, None)
+        _check_witness(g, cert, None)
         return FeasibilityResult("found", cert, srch.nodes)
     except _BudgetExceeded:
         return FeasibilityResult("unknown", nodes_explored=srch.nodes)
@@ -379,11 +379,11 @@ def iter_valid_labelings(g: Graph, mode: SearchMode, limit: int,
     return found
 
 
-def _assert_certificate(g: Graph, mode: SearchMode, cert: Labeling, value):
-    report = verify_total(g, cert) if mode is SearchMode.TOTAL else verify_edge(g, cert)
-    assert report.valid
-    if value is not None:
-        assert report.profile.distinct_count == value
+def _check_witness(g: Graph, cert: Labeling, value):
+    report = check(g, cert, "solver witness")
+    if value is not None and report.profile.distinct_count != value:
+        raise IntegrityError(f"solver witness has {report.profile.distinct_count} "
+                             f"distinct weights, not the claimed {value}")
 
 
 # ---------------------------------------------------------------------------
@@ -440,6 +440,6 @@ def brute_force_min_distinct(g: Graph, mode: SearchMode) -> SolveResult:
     if best is None:
         return SolveResult("infeasible", nodes_explored=count)
     cert = _labeling_from_assignment(g, mode, list(best_perm))
-    _assert_certificate(g, mode, cert, best)
+    _check_witness(g, cert, best)
     return SolveResult("exact", value=best, lower=best, upper=best,
                        certificate=cert, nodes_explored=count)

@@ -14,8 +14,7 @@ from typing import Tuple
 
 from .errors import PreconditionError, StructureError
 from .graph import Graph, join
-from .labeling import (EdgeLabeling, TotalLabeling, edge_weights, total_weights,
-                       verify_edge, verify_total)
+from .labeling import Labeling, check, verify
 
 
 def _delete_vertices(g: Graph, gone: set) -> Tuple[Graph, dict]:
@@ -26,14 +25,16 @@ def _delete_vertices(g: Graph, gone: set) -> Tuple[Graph, dict]:
     return Graph.from_edges(len(keep), edges), remap
 
 
-def cone_to_total(cone: Graph, g: EdgeLabeling, apex: int) -> Tuple[Graph, TotalLabeling]:
+def cone_to_total(cone: Graph, g: Labeling, apex: int) -> Tuple[Graph, Labeling]:
     """Strip the apex: each base vertex inherits its apex-edge label, base
     edges keep theirs.  Base weights equal the original induced values."""
+    if g.mode != "edge":
+        raise PreconditionError("cone_to_total takes an edge labeling, got a total one")
     if not (0 <= apex < cone.p):
         raise StructureError(f"apex index {apex} out of range")
     if cone.degree(apex) != cone.p - 1:
         raise StructureError(f"apex {apex} is not adjacent to every other vertex")
-    report = verify_edge(cone, g)
+    report = verify(cone, g)
     if not report.valid:
         raise PreconditionError("input is not a valid local antimagic edge labeling")
 
@@ -50,22 +51,22 @@ def cone_to_total(cone: Graph, g: EdgeLabeling, apex: int) -> Tuple[Graph, Total
     for i, (u, v) in enumerate(cone.edges):
         if u != apex and v != apex:
             edge_labels[base_edge_id[(remap[u], remap[v])]] = g.edge_labels[i]
-    f = TotalLabeling(tuple(vertex_labels), tuple(edge_labels))
+    f = Labeling(tuple(vertex_labels), tuple(edge_labels))
 
-    profile = total_weights(base, f)
     old = report.profile.weights
-    assert all(profile.weights[remap[v]] == old[v] for v in range(cone.p) if v != apex)
-    assert profile.valid
+    check(base, f, "cone_to_total", [old[v] for v in range(cone.p) if v != apex])
     return base, f
 
 
-def total_to_cone(g: Graph, f: TotalLabeling) -> Tuple[Graph, EdgeLabeling]:
+def total_to_cone(g: Graph, f: Labeling) -> Tuple[Graph, Labeling]:
     """Cone over G: vertex labels become apex-edge labels, edge labels stay.
 
     Requires the vertex-label sum S to avoid every weight of G, since S
     becomes the apex's induced value and the apex is adjacent to everything.
     """
-    report = verify_total(g, f)
+    if f.mode != "total":
+        raise PreconditionError("total_to_cone takes a total labeling, got an edge one")
+    report = verify(g, f)
     if not report.valid:
         raise PreconditionError("input is not a valid local antimagic total labeling")
     s = sum(f.vertex_labels)
@@ -83,23 +84,22 @@ def total_to_cone(g: Graph, f: TotalLabeling) -> Tuple[Graph, EdgeLabeling]:
             edge_labels[i] = f.vertex_labels[u]
         else:
             edge_labels[i] = f.edge_labels[g_edge_id[(u, v)]]
-    lab = EdgeLabeling(tuple(edge_labels))
+    lab = Labeling(None, tuple(edge_labels))
 
-    profile = edge_weights(cone, lab)
-    assert profile.weights[apex] == s
-    assert all(profile.weights[v] == report.profile.weights[v] for v in range(g.p))
-    assert profile.valid
+    check(cone, lab, "total_to_cone", report.profile.weights + (s,))
     return cone, lab
 
 
-def double_cone_collapse(double_cone: Graph, g: EdgeLabeling,
-                         apexes: Tuple[int, int]) -> Tuple[Graph, TotalLabeling]:
+def double_cone_collapse(double_cone: Graph, g: Labeling,
+                         apexes: Tuple[int, int]) -> Tuple[Graph, Labeling]:
     """Collapse G∨O2 to a total labeling of G∨K1.
 
     The second apex's cone-edge labels become vertex labels of G; the kept
     apex receives the one label not used by g, which is 2p+q+1 for a base
     graph of order p and size q.
     """
+    if g.mode != "edge":
+        raise PreconditionError("double_cone_collapse takes an edge labeling, got a total one")
     a1, a2 = apexes
     if a1 == a2 or not (0 <= a1 < double_cone.p) or not (0 <= a2 < double_cone.p):
         raise StructureError(f"bad apex pair {apexes}")
@@ -111,7 +111,7 @@ def double_cone_collapse(double_cone: Graph, g: EdgeLabeling,
     q = double_cone.q - 2 * p
     if p < 2 or q < 1:
         raise PreconditionError(f"base graph must have order >= 2 and size >= 1, got ({p},{q})")
-    report = verify_edge(double_cone, g)
+    report = verify(double_cone, g)
     if not report.valid:
         raise PreconditionError("input is not a valid local antimagic edge labeling")
 
@@ -145,11 +145,8 @@ def double_cone_collapse(double_cone: Graph, g: EdgeLabeling,
             edge_labels[out_edge_id[(remap[w], apex_out)]] = g.edge_labels[i]
         else:
             edge_labels[out_edge_id[(remap[u], remap[v])]] = g.edge_labels[i]
-    f = TotalLabeling(tuple(vertex_labels), tuple(edge_labels))
+    f = Labeling(tuple(vertex_labels), tuple(edge_labels))
 
-    profile = total_weights(out_graph, f)
-    assert all(profile.weights[remap[v]] == weights[v]
-               for v in range(double_cone.p) if v not in (a1, a2))
-    assert profile.weights[apex_out] == top + weights[a1]
-    assert profile.valid
+    expected = [weights[v] for v in range(double_cone.p) if v not in (a1, a2)]
+    check(out_graph, f, "double_cone_collapse", expected + [top + weights[a1]])
     return out_graph, f

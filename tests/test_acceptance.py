@@ -9,14 +9,13 @@ import time
 
 import pytest
 
-from latlab import (EdgeLabeling, FamilySpec, Graph, SolveBudget, TotalLabeling,
+from latlab import (FamilySpec, Graph, Labeling, SolveBudget,
                     brute_force_min_distinct, chi_lat_lower_bound, cone_to_total,
                     construct_k2_plus_empty, construct_small_odd_path,
-                    double_cone_collapse, edge_weights, find_with_at_most_k,
+                    double_cone_collapse, find_with_at_most_k,
                     generate, iter_valid_labelings, make_certificate,
                     path_from_cycle, read_certificate, solve_min_distinct,
-                    total_to_cone, total_weights, verify_edge, verify_total,
-                    write_certificate)
+                    total_to_cone, verify, write_certificate)
 from latlab.solver import SearchMode
 
 BUDGET_10S = SolveBudget(max_millis=10_000, max_nodes=100_000_000)
@@ -71,7 +70,7 @@ def test_criterion_03_paths():
     assert solve_min_distinct(fam("path", 2), "total", BUDGET_60S).value == 2
     for n in (3, 5):
         g, f = construct_small_odd_path(n)
-        assert verify_total(g, f).profile.distinct_count == 2
+        assert verify(g, f).profile.distinct_count == 2
         assert brute_force_min_distinct(g, "total").value == 2
     assert solve_min_distinct(fam("path", 4), "total", BUDGET_60S).value == 3
     p6 = fam("path", 6)
@@ -84,7 +83,7 @@ def test_criterion_04_odd_path_sequences():
     """The fixed P3/P5/P7 sequences verify with distinct count exactly 2."""
     for n in (3, 5, 7):
         g, f = construct_small_odd_path(n)
-        rep = verify_total(g, f)
+        rep = verify(g, f)
         assert rep.valid and rep.profile.distinct_count == 2, n
     report(4, "P3/P5/P7 sequences distinct=2")
 
@@ -94,7 +93,7 @@ def test_criterion_05_k2_plus_empty():
     expected = {1: 2, 2: 2, 3: 3, 4: 4, 5: 5}
     for n, want in expected.items():
         g, f = construct_k2_plus_empty(n)
-        rep = verify_total(g, f)
+        rep = verify(g, f)
         assert rep.valid and rep.profile.distinct_count == want, n
         if n >= 3:
             assert chi_lat_lower_bound(g) == want, n
@@ -108,9 +107,9 @@ def test_criterion_06_transform_weight_preservation():
     k4_samples = iter_valid_labelings(k4, "edge", 20)
     assert len(k4_samples) >= 20
     for g in k4_samples:
-        old = edge_weights(k4, g).weights
+        old = verify(k4, g).profile.weights
         base, f = cone_to_total(k4, g, apex=3)
-        prof = total_weights(base, f)
+        prof = verify(base, f).profile
         assert prof.valid
         assert prof.weights == old[:3]
 
@@ -118,11 +117,11 @@ def test_criterion_06_transform_weight_preservation():
     top = 2 * 4 + 4 + 1
     transformed = 0
     for g in iter_valid_labelings(dc, "edge", 60):
-        w = edge_weights(dc, g).weights
+        w = verify(dc, g).profile.weights
         if any(top + w[4] == w[i] for i in range(4)):
             continue
         out, f = double_cone_collapse(dc, g, (4, 5))
-        prof = total_weights(out, f)
+        prof = verify(out, f).profile
         assert prof.valid
         assert prof.weights[:4] == w[:4]
         transformed += 1
@@ -135,8 +134,8 @@ def test_criterion_07_cone_round_trip():
     the P3 sequence is rejected with the documented collision."""
     from latlab import PreconditionError
     p2 = fam("path", 2)
-    cone, g = total_to_cone(p2, TotalLabeling((1, 3), (2,)))
-    prof = edge_weights(cone, g)
+    cone, g = total_to_cone(p2, Labeling((1, 3), (2,)))
+    prof = verify(cone, g).profile
     assert prof.distinct_count == 3
     assert prof.weights[2] == 4  # apex
     p3, f3 = construct_small_odd_path(3)
@@ -184,7 +183,7 @@ def test_criterion_09_even_wheel():
     w4 = fam("wheel", 4)
     res = find_with_at_most_k(w4, 3, "total", BUDGET_10M)
     assert res.status == "found"
-    rep = verify_total(w4, res.certificate)
+    rep = verify(w4, res.certificate)
     assert rep.valid and rep.profile.distinct_count <= 3
     assert chi_lat_lower_bound(w4) == 3
     report(9, "chi_lat(W4)=3 certified")
@@ -198,7 +197,7 @@ def test_criterion_10_p9_conjecture_evidence():
         "SEARCH CLOSED WITH NO 2-WEIGHT LABELING OF P9 - this contradicts "
         "the odd-path conjecture and must be investigated")
     if res.status == "found":
-        rep = verify_total(fam("path", 9), res.certificate)
+        rep = verify(fam("path", 9), res.certificate)
         assert rep.valid and rep.profile.distinct_count == 2
     report(10, f"P9 at k=2: {res.status}")
 
@@ -218,7 +217,7 @@ def test_criterion_11_property_suites():
     def random_total(g):
         labels = list(range(1, g.p + g.q + 1))
         rng.shuffle(labels)
-        return TotalLabeling(tuple(labels[: g.p]), tuple(labels[g.p:]))
+        return Labeling(tuple(labels[: g.p]), tuple(labels[g.p:]))
 
     # bijectivity rejection
     for _ in range(1000):
@@ -227,21 +226,21 @@ def test_criterion_11_property_suites():
         i = rng.randrange(g.p)
         labels = list(f.vertex_labels)
         labels[i] = labels[(i + 1) % g.p] if g.p > 1 else g.p + g.q + 5
-        broken = TotalLabeling(tuple(labels), f.edge_labels)
-        rep = verify_total(g, broken)
+        broken = Labeling(tuple(labels), f.edge_labels)
+        rep = verify(g, broken)
         assert not rep.bijection_ok and not rep.valid
 
     # weight-sum identities
     for _ in range(1000):
         g = random_graph()
         f = random_total(g)
-        prof = total_weights(g, f)
+        prof = verify(g, f).profile
         assert sum(prof.weights) == sum(f.vertex_labels) + 2 * sum(f.edge_labels)
         n = g.p + g.q
         assert sum(f.vertex_labels) + sum(f.edge_labels) == n * (n + 1) // 2
         elabels = list(range(1, g.q + 1))
         rng.shuffle(elabels)
-        eprof = edge_weights(g, EdgeLabeling(tuple(elabels)))
+        eprof = verify(g, Labeling(None, tuple(elabels))).profile
         assert sum(eprof.weights) == g.q * (g.q + 1)
 
     # cycle-cut uniform -3 shift
@@ -250,13 +249,13 @@ def test_criterion_11_property_suites():
         n = rng.randint(3, 7)
         cyc = fam("cycle", n)
         f = random_total(cyc)
-        rep = verify_total(cyc, f)
+        rep = verify(cyc, f)
         if not rep.valid or 1 not in f.edge_labels:
             continue
         doomed = f.edge_labels.index(1)
         a, b = cyc.edges[doomed]
         path, out = path_from_cycle(cyc, f, doomed)
-        new = verify_total(path, out)
+        new = verify(path, out)
         assert new.valid
         assert new.profile.distinct_count == rep.profile.distinct_count
         walk = [b]

@@ -3,7 +3,7 @@ import pytest
 from latlab import (FamilySpec, Graph, SolveBudget, TooLargeError, bounds_report,
                     chi_lat_lower_bound, chi_lat_upper_bound_via_cone,
                     chromatic_number, generate, known_value, solve_min_distinct,
-                    verify_total)
+                    verify)
 
 QUICK = SolveBudget(max_nodes=50_000_000, max_millis=120_000)
 
@@ -46,7 +46,7 @@ class TestConeUpperBound:
         bound = chi_lat_upper_bound_via_cone(fam("cycle", 3), QUICK)
         assert bound is not None and bound.exact
         assert bound.value == 3
-        report = verify_total(bound.base_graph, bound.witness)
+        report = verify(bound.base_graph, bound.witness)
         assert report.valid and report.profile.distinct_count <= bound.value
 
     def test_p2(self):

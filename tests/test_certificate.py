@@ -3,16 +3,15 @@ import random
 
 import pytest
 
-from latlab import (CertificateError, EdgeLabeling, FamilySpec, Graph,
-                    IntegrityError, ParseError, TotalLabeling, export_dot,
-                    generate, make_certificate, read_certificate,
-                    write_certificate)
+from latlab import (CertificateError, FamilySpec, Graph, IntegrityError, Labeling,
+                    ParseError, export_dot, generate, make_certificate,
+                    read_certificate, write_certificate)
 from latlab.certificate import certificate_to_dict
 
 
 def p3_paper_cert():
     g = generate(FamilySpec("path", (3,)))
-    return make_certificate(g, TotalLabeling((1, 3, 2), (5, 4)),
+    return make_certificate(g, Labeling((1, 3, 2), (5, 4)),
                             "construction:odd-path-sequence")
 
 
@@ -32,10 +31,32 @@ class TestRoundTrip:
 
     def test_edge_mode_round_trip(self):
         c3 = generate(FamilySpec("cycle", (3,)))
-        cert = make_certificate(c3, EdgeLabeling((1, 3, 2)), "solver:branch-and-bound")
+        cert = make_certificate(c3, Labeling(None, (1, 3, 2)), "solver:branch-and-bound")
         back = read_certificate(write_certificate(cert))
         assert back == cert
-        assert back.vertex_labels is None
+        assert back.labeling.vertex_labels is None
+
+    @pytest.mark.parametrize("kind", ["total", "edge"])
+    def test_format_is_stable(self, kind):
+        # documents as the format has always written them, key for key
+        if kind == "total":
+            g = generate(FamilySpec("path", (3,)))
+            lab = Labeling((1, 3, 2), (5, 4))
+            doc = {"distinct": 2, "edge_labels": [5, 4], "format": "latlab-certificate/1",
+                   "graph": {"edges": [[0, 1], [1, 2]], "p": 3}, "mode": "total",
+                   "provenance": {"producer": "test", "tool": "latlab 0.1.0"},
+                   "vertex_labels": [1, 3, 2], "weights": [6, 12, 6]}
+        else:
+            g = generate(FamilySpec("cycle", (3,)))
+            lab = Labeling(None, (1, 3, 2))
+            doc = {"distinct": 3, "edge_labels": [1, 3, 2], "format": "latlab-certificate/1",
+                   "graph": {"edges": [[0, 1], [0, 2], [1, 2]], "p": 3}, "mode": "edge",
+                   "provenance": {"producer": "test", "tool": "latlab 0.1.0"},
+                   "weights": [4, 3, 5]}
+        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        cert = make_certificate(g, lab, "test")
+        assert write_certificate(cert) == text
+        assert read_certificate(text) == cert
 
     def test_unknown_fields_preserved(self):
         doc = certificate_to_dict(p3_paper_cert())
@@ -54,7 +75,7 @@ class TestRoundTrip:
             g = Graph.from_edges(p, edges)
             labels = list(range(1, g.p + g.q + 1))
             rng.shuffle(labels)
-            f = TotalLabeling(tuple(labels[: g.p]), tuple(labels[g.p:]))
+            f = Labeling(tuple(labels[: g.p]), tuple(labels[g.p:]))
             cert = make_certificate(g, f, "test:random")
             assert read_certificate(write_certificate(cert)) == cert
 
@@ -100,7 +121,7 @@ class TestRejection:
 class TestDot:
     def test_total_annotations(self):
         g = generate(FamilySpec("path", (2,)))
-        cert = make_certificate(g, TotalLabeling((1, 3), (2,)), "test")
+        cert = make_certificate(g, Labeling((1, 3), (2,)), "test")
         dot = export_dot(cert)
         assert 'v0 [label="1/3"]' in dot
         assert 'v1 [label="3/5"]' in dot
@@ -108,14 +129,14 @@ class TestDot:
 
     def test_empty_graph_nodes(self):
         g = Graph(2, ())
-        cert = make_certificate(g, TotalLabeling((1, 2), ()), "test")
+        cert = make_certificate(g, Labeling((1, 2), ()), "test")
         dot = export_dot(cert)
         assert dot.count("--") == 0
         assert 'v0 [label="1/1"]' in dot
 
     def test_edge_mode_shows_induced_only(self):
         c3 = generate(FamilySpec("cycle", (3,)))
-        cert = make_certificate(c3, EdgeLabeling((1, 3, 2)), "test")
+        cert = make_certificate(c3, Labeling(None, (1, 3, 2)), "test")
         dot = export_dot(cert)
         assert 'v0 [label="4"]' in dot
         assert "/" not in dot

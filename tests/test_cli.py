@@ -88,6 +88,17 @@ class TestVerify:
         assert code == 2
 
 
+    def test_missing_file_is_invalid_input(self, capsys, tmp_path):
+        code, _, err = run(capsys, "verify", str(tmp_path / "absent.json"))
+        assert code == 2 and "cannot read" in err
+
+    def test_non_ascii_file_is_invalid_input(self, capsys, tmp_path):
+        path = tmp_path / "cert.json"
+        path.write_bytes('{"format": "caf\u00e9"}'.encode("utf-8"))
+        code, _, err = run(capsys, "verify", str(path))
+        assert code == 2 and "ascii" in err
+
+
 class TestTransform:
     def test_total_to_cone_then_back(self, capsys, tmp_path):
         # start from the P2 labeling via an odd-path certificate is invalid
@@ -114,7 +125,7 @@ class TestTransform:
         labs = latlab.iter_valid_labelings(dc, "edge", 40)
         pick = None
         for lab in labs:
-            w = latlab.edge_weights(dc, lab).weights
+            w = latlab.verify(dc, lab).profile.weights
             if all(13 + w[4] != w[i] for i in range(4)):
                 pick = lab
                 break

@@ -1,9 +1,9 @@
 import pytest
 
-from latlab import (FamilySpec, ParameterError, PreconditionError, TotalLabeling,
+from latlab import (FamilySpec, Labeling, ParameterError, PreconditionError,
                     chi_lat_lower_bound, construct_k2_plus_empty,
                     construct_small_odd_path, generate, path_from_cycle,
-                    solve_min_distinct, verify_total)
+                    solve_min_distinct, verify)
 
 
 class TestK2PlusEmpty:
@@ -14,7 +14,7 @@ class TestK2PlusEmpty:
     ])
     def test_small_cases(self, n, weights, distinct):
         g, f = construct_k2_plus_empty(n)
-        report = verify_total(g, f)
+        report = verify(g, f)
         assert report.valid
         assert report.profile.weights == weights
         assert report.profile.distinct_count == distinct
@@ -22,7 +22,7 @@ class TestK2PlusEmpty:
     @pytest.mark.parametrize("n", range(1, 8))
     def test_distinct_matches_known_value(self, n):
         g, f = construct_k2_plus_empty(n)
-        report = verify_total(g, f)
+        report = verify(g, f)
         expected = 2 if n <= 2 else n
         assert report.profile.distinct_count == expected
         if n >= 3:
@@ -41,7 +41,7 @@ class TestSmallOddPath:
     ])
     def test_sequences(self, n, weights):
         g, f = construct_small_odd_path(n)
-        report = verify_total(g, f)
+        report = verify(g, f)
         assert report.valid
         assert report.profile.weights == weights
         assert report.profile.distinct_count == 2
@@ -67,7 +67,7 @@ class TestPathFromCycle:
         c6, f = _c6_labeling_with_edge_one()
         doomed = f.edge_labels.index(1)
         path, out = path_from_cycle(c6, f, doomed)
-        report = verify_total(path, out)
+        report = verify(path, out)
         assert report.valid
         assert report.profile.distinct_count == 2
         assert sorted(out.vertex_labels + out.edge_labels) == list(range(1, 12))
@@ -75,10 +75,10 @@ class TestPathFromCycle:
     def test_uniform_minus_three_shift(self):
         c6, f = _c6_labeling_with_edge_one()
         doomed = f.edge_labels.index(1)
-        old = verify_total(c6, f).profile.weights
+        old = verify(c6, f).profile.weights
         a, b = c6.edges[doomed]
         path, out = path_from_cycle(c6, f, doomed)
-        new = verify_total(path, out).profile.weights
+        new = verify(path, out).profile.weights
         # walk order starts at the higher endpoint of the doomed edge
         walk = [b]
         prev = a
@@ -97,13 +97,19 @@ class TestPathFromCycle:
     def test_invalid_labeling_rejected(self):
         c6 = generate(FamilySpec("cycle", (6,)))
         # weights of vertices 0 and 1 collide (both 18)
-        f = TotalLabeling((1, 2, 3, 4, 5, 6), (9, 8, 7, 10, 11, 12))
-        assert not verify_total(c6, f).valid
+        f = Labeling((1, 2, 3, 4, 5, 6), (9, 8, 7, 10, 11, 12))
+        assert not verify(c6, f).valid
         with pytest.raises(PreconditionError):
             path_from_cycle(c6, f, 0)
 
+    def test_edge_labeling_rejected(self):
+        c6 = generate(FamilySpec("cycle", (6,)))
+        lab = Labeling(None, (1, 2, 3, 4, 5, 6))
+        with pytest.raises(PreconditionError, match="takes a total labeling"):
+            path_from_cycle(c6, lab, 0)
+
     def test_non_cycle_rejected(self):
         p4 = generate(FamilySpec("path", (4,)))
-        f = TotalLabeling((1, 2, 3, 4), (5, 6, 7))
+        f = Labeling((1, 2, 3, 4), (5, 6, 7))
         with pytest.raises(PreconditionError, match="cycle"):
             path_from_cycle(p4, f, 0)

@@ -3,9 +3,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from latlab import (BijectionError, EdgeLabeling, FamilySpec, Graph, TotalLabeling,
-                    ValidationError, edge_weights, generate, total_weights,
-                    verify_edge, verify_total)
+from latlab import FamilySpec, Graph, Labeling, ValidationError, generate, verify
 
 P3 = generate(FamilySpec("path", (3,)))
 C3 = generate(FamilySpec("cycle", (3,)))
@@ -13,20 +11,20 @@ C3 = generate(FamilySpec("cycle", (3,)))
 
 class TestTotalWeights:
     def test_p3_sequence(self):
-        f = TotalLabeling((1, 3, 2), (5, 4))
-        prof = total_weights(P3, f)
+        f = Labeling((1, 3, 2), (5, 4))
+        prof = verify(P3, f).profile
         assert prof.weights == (6, 12, 6)
         assert prof.distinct_count == 2
         assert prof.valid
 
     def test_k1(self):
-        prof = total_weights(Graph(1, ()), TotalLabeling((1,), ()))
+        prof = verify(Graph(1, ()), Labeling((1,), ())).profile
         assert prof.weights == (1,)
         assert prof.distinct_count == 1
 
     def test_p2(self):
         g = generate(FamilySpec("path", (2,)))
-        prof = total_weights(g, TotalLabeling((1, 3), (2,)))
+        prof = verify(g, Labeling((1, 3), (2,))).profile
         assert prof.weights == (3, 5)
         assert prof.distinct_count == 2
 
@@ -35,73 +33,84 @@ class TestTotalWeights:
         import itertools
         g = generate(FamilySpec("path", (2,)))
         for perm in itertools.permutations((1, 2, 3)):
-            f = TotalLabeling(perm[:2], perm[2:])
-            assert total_weights(g, f).valid
+            f = Labeling(perm[:2], perm[2:])
+            assert verify(g, f).valid
 
     def test_bijection_error(self):
-        with pytest.raises(BijectionError) as exc:
-            total_weights(P3, TotalLabeling((1, 1, 2), (5, 4)))
-        assert 1 in exc.value.duplicates
-        assert 3 in exc.value.gaps
+        report = verify(P3, Labeling((1, 1, 2), (5, 4)))
+        assert 1 in report.duplicates
+        assert 3 in report.gaps
+        assert not report.bijection_ok and not report.valid
 
     def test_shape_mismatch(self):
         with pytest.raises(ValidationError):
-            total_weights(P3, TotalLabeling((1, 2), (3, 4)))
+            verify(P3, Labeling((1, 2), (3, 4)))
+        with pytest.raises(ValidationError):
+            verify(P3, Labeling(None, (1, 2, 3)))
 
 
 class TestEdgeWeights:
     def test_c3(self):
-        prof = edge_weights(C3, EdgeLabeling((1, 3, 2)))
+        prof = verify(C3, Labeling(None, (1, 3, 2))).profile
         assert prof.weights == (4, 3, 5)
         assert prof.distinct_count == 3
         assert prof.valid
 
     def test_k2(self):
         g = generate(FamilySpec("complete", (2,)))
-        prof = edge_weights(g, EdgeLabeling((1,)))
+        prof = verify(g, Labeling(None, (1,))).profile
         assert prof.weights == (1, 1)
         assert not prof.valid
 
     def test_p3(self):
-        prof = edge_weights(P3, EdgeLabeling((1, 2)))
+        prof = verify(P3, Labeling(None, (1, 2))).profile
         assert prof.weights == (1, 3, 2)
         assert prof.distinct_count == 3
 
     def test_isolated_vertex_weight_zero(self):
         g = generate(FamilySpec("k2_plus_empty", (1,)))
-        prof = edge_weights(g, EdgeLabeling((1,)))
+        prof = verify(g, Labeling(None, (1,))).profile
         assert prof.weights == (1, 1, 0)
 
 
 class TestVerify:
     def test_valid_p3_sequence(self):
-        report = verify_total(P3, TotalLabeling((1, 3, 2), (5, 4)))
+        report = verify(P3, Labeling((1, 3, 2), (5, 4)))
         assert report.valid
         assert report.profile.distinct_count == 2
 
     def test_invalid_p3(self):
-        report = verify_total(P3, TotalLabeling((5, 2, 4), (1, 3)))
+        report = verify(P3, Labeling((5, 2, 4), (1, 3)))
         assert not report.valid
         assert report.violations == (0,)
         assert report.bijection_ok
 
     def test_empty_graph_total(self):
         g = Graph(2, ())
-        report = verify_total(g, TotalLabeling((1, 2), ()))
+        report = verify(g, Labeling((1, 2), ()))
         assert report.valid
         assert report.profile.distinct_count == 2
 
     def test_non_bijective_is_reported_not_raised(self):
-        report = verify_total(P3, TotalLabeling((1, 1, 1), (1, 1)))
+        report = verify(P3, Labeling((1, 1, 1), (1, 1)))
         assert not report.bijection_ok
         assert not report.valid
 
+    def test_vertex_labels_are_never_dropped(self):
+        # (1, 2) alone is a valid edge labeling of P3; with vertex labels the
+        # universe is {1..5} and the labels (9, 9, 9, 1, 2) are no bijection
+        report = verify(P3, Labeling((9, 9, 9), (1, 2)))
+        assert 9 in report.duplicates and report.gaps == (3, 4, 5)
+        assert not report.valid
+        assert Labeling((9, 9, 9), (1, 2)).mode == "total"
+        assert Labeling(None, (1, 2)).mode == "edge"
+
     def test_verify_edge_examples(self):
-        assert verify_edge(C3, EdgeLabeling((1, 3, 2))).valid
+        assert verify(C3, Labeling(None, (1, 3, 2))).valid
         k2 = generate(FamilySpec("complete", (2,)))
-        report = verify_edge(k2, EdgeLabeling((1,)))
+        report = verify(k2, Labeling(None, (1,)))
         assert not report.valid and report.violations == (0,)
-        assert verify_edge(P3, EdgeLabeling((1, 2))).valid
+        assert verify(P3, Labeling(None, (1, 2))).valid
 
 
 def random_graph(rng, max_p=7):
@@ -117,8 +126,8 @@ class TestWeightIdentities:
             g = random_graph(rng)
             labels = list(range(1, g.p + g.q + 1))
             rng.shuffle(labels)
-            f = TotalLabeling(tuple(labels[: g.p]), tuple(labels[g.p:]))
-            prof = total_weights(g, f)
+            f = Labeling(tuple(labels[: g.p]), tuple(labels[g.p:]))
+            prof = verify(g, f).profile
             assert sum(prof.weights) == sum(f.vertex_labels) + 2 * sum(f.edge_labels)
 
     def test_edge_weight_sums(self):
@@ -127,7 +136,7 @@ class TestWeightIdentities:
             g = random_graph(rng)
             labels = list(range(1, g.q + 1))
             rng.shuffle(labels)
-            prof = edge_weights(g, EdgeLabeling(tuple(labels)))
+            prof = verify(g, Labeling(None, tuple(labels))).profile
             assert sum(prof.weights) == g.q * (g.q + 1)
 
     def test_valid_total_is_proper_coloring(self):
@@ -137,8 +146,8 @@ class TestWeightIdentities:
             g = random_graph(rng, max_p=5)
             labels = list(range(1, g.p + g.q + 1))
             rng.shuffle(labels)
-            f = TotalLabeling(tuple(labels[: g.p]), tuple(labels[g.p:]))
-            report = verify_total(g, f)
+            f = Labeling(tuple(labels[: g.p]), tuple(labels[g.p:]))
+            report = verify(g, f)
             if not report.valid:
                 continue
             w = report.profile.weights
@@ -149,8 +158,8 @@ class TestWeightIdentities:
 @given(st.permutations(list(range(1, 6))))
 def test_verification_depends_only_on_values(perm):
     # relabeling slots and re-verifying is consistent with direct arithmetic
-    f = TotalLabeling(tuple(perm[:3]), tuple(perm[3:]))
-    report = verify_total(P3, f)
+    f = Labeling(tuple(perm[:3]), tuple(perm[3:]))
+    report = verify(P3, f)
     w = [perm[0] + perm[3], perm[1] + perm[3] + perm[4], perm[2] + perm[4]]
     assert list(report.profile.weights) == w
     assert report.valid == (w[0] != w[1] and w[1] != w[2])

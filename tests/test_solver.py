@@ -1,9 +1,8 @@
 import pytest
 
-from latlab import (EdgeLabeling, FamilySpec, Graph, ParameterError, SolveBudget,
-                    TooLargeError, TotalLabeling, brute_force_min_distinct,
-                    find_with_at_most_k, generate, iter_valid_labelings,
-                    solve_min_distinct, verify_edge, verify_total)
+from latlab import (FamilySpec, Graph, ParameterError, SolveBudget, TooLargeError,
+                    brute_force_min_distinct, find_with_at_most_k, generate,
+                    iter_valid_labelings, solve_min_distinct, verify)
 from latlab.solver import SearchMode, _slot_order
 
 QUICK = SolveBudget(max_nodes=50_000_000, max_millis=120_000)
@@ -56,7 +55,7 @@ class TestBruteForce:
 
     def test_certificate_is_verified_witness(self):
         res = brute_force_min_distinct(fam("cycle", 4), "total")
-        report = verify_total(fam("cycle", 4), res.certificate)
+        report = verify(fam("cycle", 4), res.certificate)
         assert report.valid
         assert report.profile.distinct_count == res.value == 2
 
@@ -135,7 +134,7 @@ class TestFindWithAtMostK:
     def test_c4_at_2(self):
         res = find_with_at_most_k(fam("cycle", 4), 2, "total", QUICK)
         assert res.status == "found"
-        report = verify_total(fam("cycle", 4), res.certificate)
+        report = verify(fam("cycle", 4), res.certificate)
         assert report.valid and report.profile.distinct_count <= 2
 
     def test_c3_at_2_definitively_none(self):
@@ -153,6 +152,21 @@ class TestFindWithAtMostK:
         with pytest.raises(ParameterError):
             find_with_at_most_k(fam("cycle", 3), 0, "total", QUICK)
 
+    def test_accept_is_sound_with_family_symmetry(self):
+        # the cycle orbit keeps the smallest edge label on one edge; a
+        # predicate pinning edge 0 to 8 is not invariant under rotation, so
+        # orbit pruning must not apply or the answer becomes a false "none"
+        c4 = fam("cycle", 4)
+
+        def accept(lab):
+            return lab.edge_labels[0] == 8 and lab.vertex_labels[0] == 1
+
+        plain = find_with_at_most_k(c4, 3, "total", QUICK, accept=accept)
+        tagged = find_with_at_most_k(c4, 3, "total", QUICK,
+                                     family=FamilySpec("cycle", (4,)), accept=accept)
+        assert plain.status == tagged.status == "found"
+        assert accept(tagged.certificate)
+
 
 class TestIterValidLabelings:
     def test_all_distinct_and_valid(self):
@@ -161,7 +175,7 @@ class TestIterValidLabelings:
         assert len(labs) == 30
         assert len(set(labs)) == 30
         for lab in labs:
-            assert verify_edge(k4, lab).valid
+            assert verify(k4, lab).valid
 
 
 def test_slot_order_is_a_permutation():

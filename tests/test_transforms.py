@@ -1,10 +1,8 @@
 import pytest
 
-from latlab import (EdgeLabeling, FamilySpec, Graph, PreconditionError,
-                    StructureError, TotalLabeling, brute_force_min_distinct,
-                    cone_to_total, double_cone_collapse, edge_weights, generate,
-                    iter_valid_labelings, join, total_to_cone, total_weights,
-                    verify_edge, verify_total)
+from latlab import (FamilySpec, Graph, Labeling, PreconditionError, StructureError,
+                    brute_force_min_distinct, cone_to_total, double_cone_collapse,
+                    generate, iter_valid_labelings, join, total_to_cone, verify)
 
 
 def fam(kind, *params):
@@ -15,36 +13,36 @@ class TestConeToTotal:
     def test_triangle_to_p2(self):
         c3 = fam("cycle", 3)
         # apex 0: edges (0,1)=1, (0,2)=3, (1,2)=2
-        base, f = cone_to_total(c3, EdgeLabeling((1, 3, 2)), apex=0)
+        base, f = cone_to_total(c3, Labeling(None, (1, 3, 2)), apex=0)
         assert base == fam("path", 2)
-        assert f == TotalLabeling((1, 3), (2,))
-        assert total_weights(base, f).weights == (3, 5)
+        assert f == Labeling((1, 3), (2,))
+        assert verify(base, f).profile.weights == (3, 5)
 
     def test_k4_solver_found(self):
         k4 = fam("complete", 4)
         res = brute_force_min_distinct(k4, "edge")
         assert res.status == "exact"
         base, f = cone_to_total(k4, res.certificate, apex=3)
-        report = verify_total(base, f)
+        report = verify(base, f)
         assert report.valid
         assert report.profile.distinct_count == 3
 
     def test_weight_transfer_exact(self):
         k4 = fam("complete", 4)
         for g in iter_valid_labelings(k4, "edge", 25):
-            old = edge_weights(k4, g).weights
+            old = verify(k4, g).profile.weights
             base, f = cone_to_total(k4, g, apex=3)
-            assert total_weights(base, f).weights == old[:3]
+            assert verify(base, f).profile.weights == old[:3]
 
     def test_non_universal_apex(self):
         p4 = fam("path", 4)
         with pytest.raises(StructureError):
-            cone_to_total(p4, EdgeLabeling((1, 2, 3)), apex=0)
+            cone_to_total(p4, Labeling(None, (1, 2, 3)), apex=0)
 
     def test_invalid_labeling_rejected(self):
         k2 = fam("complete", 2)
         with pytest.raises(PreconditionError):
-            cone_to_total(k2, EdgeLabeling((1,)), apex=1)
+            cone_to_total(k2, Labeling(None, (1,)), apex=1)
 
     def test_label_set_accounting(self):
         k4 = fam("complete", 4)
@@ -56,30 +54,30 @@ class TestConeToTotal:
 class TestTotalToCone:
     def test_p2_to_triangle(self):
         p2 = fam("path", 2)
-        cone, g = total_to_cone(p2, TotalLabeling((1, 3), (2,)))
+        cone, g = total_to_cone(p2, Labeling((1, 3), (2,)))
         assert cone == fam("cycle", 3)
-        prof = edge_weights(cone, g)
+        prof = verify(cone, g).profile
         assert prof.weights == (3, 5, 4)  # apex (last) induced value is the label sum
         assert prof.distinct_count == 3
 
     def test_p3_sequence_rejected(self):
         p3 = fam("path", 3)
         with pytest.raises(PreconditionError, match="vertex 0"):
-            total_to_cone(p3, TotalLabeling((1, 3, 2), (5, 4)))
+            total_to_cone(p3, Labeling((1, 3, 2), (5, 4)))
 
     def test_o2_star(self):
         o2 = fam("empty", 2)
-        cone, g = total_to_cone(o2, TotalLabeling((1, 2), ()))
-        prof = edge_weights(cone, g)
+        cone, g = total_to_cone(o2, Labeling((1, 2), ()))
+        prof = verify(cone, g).profile
         assert prof.weights == (1, 2, 3)
         assert prof.distinct_count == 3
 
     def test_round_trip_preserves_base_weights(self):
         p2 = fam("path", 2)
-        f0 = TotalLabeling((1, 3), (2,))
+        f0 = Labeling((1, 3), (2,))
         cone, g = total_to_cone(p2, f0)
         base, f1 = cone_to_total(cone, g, apex=2)
-        assert total_weights(base, f1).weights == total_weights(p2, f0).weights
+        assert verify(base, f1).profile.weights == verify(p2, f0).profile.weights
 
 
 class TestDoubleConeCollapse:
@@ -87,24 +85,24 @@ class TestDoubleConeCollapse:
 
     def test_p2_example(self):
         # edges of DC: (0,1)=bc, (0,2),(1,2) to apex 2, (0,3),(1,3) to apex 3
-        g = EdgeLabeling((5, 1, 2, 3, 4))
-        assert edge_weights(self.DC, g).weights == (8, 12, 4, 6)
+        g = Labeling(None, (5, 1, 2, 3, 4))
+        assert verify(self.DC, g).profile.weights == (8, 12, 4, 6)
         out, f = double_cone_collapse(self.DC, g, (2, 3))
         assert out == generate(FamilySpec("complete", (3,)))
-        prof = total_weights(out, f)
+        prof = verify(out, f).profile
         assert prof.weights == (8, 12, 10)
         assert f.vertex_labels[2] == 6  # kept apex gets 2p+q+1
         assert sorted(f.vertex_labels + f.edge_labels) == list(range(1, 7))
 
     def test_collision_rejected(self):
-        g = EdgeLabeling((5, 1, 3, 2, 4))  # kept-apex weight 9 = weight of vertex 0
+        g = Labeling(None, (5, 1, 3, 2, 4))  # kept-apex weight 9 = weight of vertex 0
         with pytest.raises(PreconditionError, match="vertex 0"):
             double_cone_collapse(self.DC, g, (2, 3))
 
     def test_adjacent_apexes_rejected(self):
         k4 = fam("complete", 4)
         with pytest.raises(StructureError, match="non-adjacent"):
-            double_cone_collapse(k4, EdgeLabeling((1, 2, 3, 4, 5, 6)), (2, 3))
+            double_cone_collapse(k4, Labeling(None, (1, 2, 3, 4, 5, 6)), (2, 3))
 
     def test_c4_samples_become_wheel(self):
         dc = fam("cycle_join_empty", 4, 2)
@@ -112,14 +110,30 @@ class TestDoubleConeCollapse:
         top = 2 * 4 + 4 + 1
         done = 0
         for g in iter_valid_labelings(dc, "edge", 40):
-            w = edge_weights(dc, g).weights
+            w = verify(dc, g).profile.weights
             if any(top + w[4] == w[i] for i in range(4)):
                 continue
             out, f = double_cone_collapse(dc, g, (4, 5))
             assert out == w4
-            prof = total_weights(out, f)
+            prof = verify(out, f).profile
             assert prof.valid
             assert prof.weights[:4] == w[:4]
             assert sorted(f.vertex_labels + f.edge_labels) == list(range(1, 14))
             done += 1
         assert done >= 20
+
+
+def test_wrong_mode_rejected():
+    # each labeling below is valid in its own mode, so only the mode check
+    # stands between it and a transfer that would misread its labels
+    c3, p2 = fam("cycle", 3), fam("path", 2)
+    total_c3 = iter_valid_labelings(c3, "total", 1)[0]
+    with pytest.raises(PreconditionError, match="takes an edge labeling"):
+        cone_to_total(c3, total_c3, apex=0)
+    with pytest.raises(PreconditionError, match="takes a total labeling"):
+        total_to_cone(p2, Labeling(None, (1,)))
+    dc = TestDoubleConeCollapse.DC
+    total_dc = iter_valid_labelings(dc, "total", 1)[0]
+    assert verify(dc, total_dc).valid
+    with pytest.raises(PreconditionError, match="takes an edge labeling"):
+        double_cone_collapse(dc, total_dc, (2, 3))
