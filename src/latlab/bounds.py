@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from .coloring import chromatic_number
+from .coloring import chromatic_lower_bound
 from .graph import FamilySpec, Graph, join
 from .labeling import Labeling
 
@@ -35,7 +35,7 @@ class KnownResult:
 
 @dataclass(frozen=True)
 class BoundsReport:
-    chromatic: int
+    chromatic: int  # a clique bound above the exact-coloring order
     isolated_count: int
     lower: int
     upper: Optional[int]
@@ -52,9 +52,9 @@ class ConeUpperBound:
 
 
 def chi_lat_lower_bound(g: Graph) -> int:
-    """max(chromatic number, isolated-vertex count); equals n on the
-    edgeless graph On."""
-    return max(chromatic_number(g), len(g.isolated_vertices()))
+    """max(chromatic number, isolated-vertex count), with a clique bound above
+    the exact-coloring order; equals n on the edgeless graph On."""
+    return max(chromatic_lower_bound(g), len(g.isolated_vertices()))
 
 
 def chi_lat_upper_bound_via_cone(g: Graph, budget=None) -> Optional[ConeUpperBound]:
@@ -191,7 +191,7 @@ def bounds_report(g: Graph, family: Optional[FamilySpec] = None,
     the table has a theorem entry, else from the cone solver when enabled,
     else from the trivial bound p (every graph has some valid labeling).
     """
-    chrom = chromatic_number(g)
+    chrom = chromatic_lower_bound(g)
     isolated = len(g.isolated_vertices())
     lower = max(chrom, isolated)
     notes = []

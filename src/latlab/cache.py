@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import tempfile
 import time
 from pathlib import Path
 from typing import Optional
@@ -72,5 +73,12 @@ def store_entry(directory: Path, g: Graph, mode: str, status: str,
         "timestamp": time.time(),
     }
     path = directory / (cache_key(g, mode) + ".json")
-    path.write_text(json.dumps(entry, indent=2, sort_keys=True) + "\n")
+    # renamed into place: a reader sees the old entry or the new, never a partial one
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=path.name, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(json.dumps(entry, indent=2, sort_keys=True) + "\n")
+        os.replace(tmp, path)
+    finally:
+        Path(tmp).unlink(missing_ok=True)
     return entry

@@ -1,8 +1,9 @@
-"""Self-contained labeling certificates: JSON schema, round-trip, DOT export.
+"""Self-contained labeling certificates: reading, writing, DOT export.
 
 A certificate embeds the graph, the labels, the induced weights, and the
 distinct-weight count, so any third party can recompute and confirm the
-claim without this tool.  Unknown top-level fields survive a rewrite.
+claim without this tool.  Reading checks every field (an error names its
+JSON path) and re-verifies.  Unknown top-level fields survive a rewrite.
 """
 
 from __future__ import annotations
@@ -11,10 +12,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
-import jsonschema
-
 from . import __version__
-from .errors import CertificateError, IntegrityError, ParseError
+from .errors import CertificateError, IntegrityError, ParseError, ValidationError
 from .graph import Graph
 from .labeling import Labeling, verify
 
@@ -22,37 +21,6 @@ FORMAT_TAG = "latlab-certificate/1"
 
 _KNOWN_FIELDS = {"format", "graph", "mode", "vertex_labels", "edge_labels",
                  "weights", "distinct", "provenance", "citation"}
-
-SCHEMA = {
-    "type": "object",
-    "required": ["format", "graph", "mode", "edge_labels", "weights", "distinct", "provenance"],
-    "properties": {
-        "format": {"const": FORMAT_TAG},
-        "graph": {
-            "type": "object",
-            "required": ["p", "edges"],
-            "properties": {
-                "p": {"type": "integer", "minimum": 0},
-                "edges": {
-                    "type": "array",
-                    "items": {
-                        "type": "array",
-                        "items": {"type": "integer", "minimum": 0},
-                        "minItems": 2,
-                        "maxItems": 2,
-                    },
-                },
-            },
-        },
-        "mode": {"enum": ["total", "edge"]},
-        "vertex_labels": {"type": "array", "items": {"type": "integer", "minimum": 1}},
-        "edge_labels": {"type": "array", "items": {"type": "integer", "minimum": 1}},
-        "weights": {"type": "array", "items": {"type": "integer", "minimum": 0}},
-        "distinct": {"type": "integer", "minimum": 0},
-        "provenance": {"type": "object"},
-        "citation": {"type": "string"},
-    },
-}
 
 
 @dataclass(frozen=True)
@@ -98,39 +66,61 @@ def write_certificate(cert: Certificate) -> str:
     return json.dumps(certificate_to_dict(cert), indent=2, sort_keys=True) + "\n"
 
 
-def certificate_from_dict(doc: dict) -> Certificate:
-    try:
-        jsonschema.validate(doc, SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise CertificateError(exc.message, path=exc.json_path) from exc
+def _field(obj, key, kind: type, path: str, minimum: int = 0):
+    """obj[key], a `kind` (a bool is no int) of at least `minimum`; obj is at JSON `path`."""
+    if isinstance(obj, dict) and key not in obj:
+        raise CertificateError(f"{key!r} is a required property", path=path)
+    value = obj[key]
+    path += f".{key}" if isinstance(obj, dict) else f"[{key}]"
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise CertificateError(f"{value!r} is not of type {kind.__name__!r}", path=path)
+    if kind is int and value < minimum:
+        raise CertificateError(f"{value} is less than the minimum of {minimum}", path=path)
+    return value
 
+
+def _int_list(obj, key, path: str, minimum: int, length=None) -> Tuple[int, ...]:
+    """obj[key] as a tuple of ints >= `minimum`, of `length` items if given."""
+    values = _field(obj, key, list, path)
+    path += f".{key}" if isinstance(obj, dict) else f"[{key}]"
+    items = tuple(_field(values, i, int, path, minimum) for i in range(len(values)))
+    if length is not None and len(items) != length:
+        raise CertificateError(f"{len(items)} items where {length} are expected", path=path)
+    return items
+
+
+def certificate_from_dict(doc: dict) -> Certificate:
+    """Check a decoded document field by field, then re-verify its claims."""
+    if not isinstance(doc, dict):
+        raise CertificateError("certificate document must be a JSON object", path="$")
+    if _field(doc, "format", str, "$") != FORMAT_TAG:
+        raise CertificateError(f"{FORMAT_TAG!r} was expected", path="$.format")
+    mode = _field(doc, "mode", str, "$")
+    if mode not in ("total", "edge"):
+        raise CertificateError(f"{mode!r} is not one of ['total', 'edge']", path="$.mode")
+    graph_doc = _field(doc, "graph", dict, "$")
+    p = _field(graph_doc, "p", int, "$.graph")
+    edges = _field(graph_doc, "edges", list, "$.graph")
+    edges = [_int_list(edges, i, "$.graph.edges", 0, 2) for i in range(len(edges))]
+    # lengths are checked before the graph is built, so the document bounds p
+    if mode == "total" and "vertex_labels" not in doc:
+        raise CertificateError("vertex_labels missing in total mode", path="$.vertex_labels")
+    vertex_labels = _int_list(doc, "vertex_labels", "$", 1, p) if mode == "total" else None
+    if mode == "edge" and "vertex_labels" in doc:  # checked, then dropped
+        _int_list(doc, "vertex_labels", "$", 1)
+    edge_labels = _int_list(doc, "edge_labels", "$", 1, len(edges))
+    weights = _int_list(doc, "weights", "$", 0, p)
+    distinct = _field(doc, "distinct", int, "$")
+    provenance = dict(_field(doc, "provenance", dict, "$"))
+    citation = _field(doc, "citation", str, "$") if "citation" in doc else None
     try:
-        graph = Graph.from_edges(doc["graph"]["p"], [tuple(e) for e in doc["graph"]["edges"]])
-    except Exception as exc:
+        graph = Graph.from_edges(p, edges)
+    except ValidationError as exc:
         raise CertificateError(f"bad embedded graph: {exc}", path="$.graph") from exc
 
-    mode = doc["mode"]
-    edge_labels = tuple(doc["edge_labels"])
-    vertex_labels = None
-    if mode == "total":
-        if "vertex_labels" not in doc:
-            raise CertificateError("total-mode certificate lacks vertex_labels",
-                                   path="$.vertex_labels")
-        vertex_labels = tuple(doc["vertex_labels"])
-        if len(vertex_labels) != graph.p:
-            raise CertificateError(
-                f"{len(vertex_labels)} vertex labels for p={graph.p}", path="$.vertex_labels")
-    if len(edge_labels) != graph.q:
-        raise CertificateError(
-            f"{len(edge_labels)} edge labels for q={graph.q}", path="$.edge_labels")
-    if len(doc["weights"]) != graph.p:
-        raise CertificateError(
-            f"{len(doc['weights'])} weights for p={graph.p}", path="$.weights")
-
-    cert = Certificate(
-        graph, Labeling(vertex_labels, edge_labels), tuple(doc["weights"]),
-        doc["distinct"], dict(doc["provenance"]), doc.get("citation"),
-        {k: v for k, v in doc.items() if k not in _KNOWN_FIELDS})
+    cert = Certificate(graph, Labeling(vertex_labels, edge_labels), weights, distinct,
+                       provenance, citation,
+                       {k: v for k, v in doc.items() if k not in _KNOWN_FIELDS})
 
     # re-verification: the document must reproduce its own claims
     report = verify(graph, cert.labeling)
@@ -152,8 +142,6 @@ def read_certificate(text: str) -> Certificate:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"certificate is not valid JSON: {exc.msg}", exc.pos) from exc
-    if not isinstance(doc, dict):
-        raise CertificateError("certificate document must be a JSON object")
     return certificate_from_dict(doc)
 
 

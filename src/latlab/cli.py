@@ -44,8 +44,11 @@ def _read_source(path: str) -> str:
 
 def _emit(text: str, out_path=None):
     if out_path and out_path != "-":
-        with open(out_path, "w", encoding="ascii") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="ascii") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise LatlabError(f"cannot write {out_path}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
 

@@ -55,6 +55,11 @@ def _colorable(g: Graph, k: int, order) -> bool:
     return place(0, 0)
 
 
+def chromatic_lower_bound(g: Graph) -> int:
+    """The chromatic number, or above MAX_EXACT_ORDER the greedy clique size."""
+    return chromatic_number(g) if g.p <= MAX_EXACT_ORDER else _greedy_clique(g)
+
+
 def chromatic_number(g: Graph) -> int:
     """Exact chromatic number; 0 for the empty-order graph."""
     if g.p > MAX_EXACT_ORDER:

@@ -38,7 +38,7 @@ class ParseError(LatlabError, ValueError):
 
 
 class CertificateError(LatlabError, ValueError):
-    """A certificate document violates the schema.  Carries the JSON field path."""
+    """A certificate document is malformed.  Carries the JSON field path."""
 
     def __init__(self, message: str, path: str | None = None):
         self.path = path
@@ -48,4 +48,4 @@ class CertificateError(LatlabError, ValueError):
 
 
 class IntegrityError(CertificateError):
-    """A certificate is schema-valid but internally inconsistent on re-verification."""
+    """A certificate is well-formed but internally inconsistent on re-verification."""

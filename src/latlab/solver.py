@@ -9,12 +9,15 @@ Two independent routes to the same quantity:
 
 from __future__ import annotations
 
+import sys
 import time
 from dataclasses import dataclass
 from enum import Enum
 from itertools import islice, permutations
 from typing import Optional
 
+from .bounds import chi_lat_lower_bound
+from .coloring import chromatic_lower_bound
 from .errors import IntegrityError, ParameterError, TooLargeError
 from .graph import FamilySpec, Graph
 from .labeling import Labeling, check
@@ -147,6 +150,8 @@ class _Search:
         self.g = g
         self.mode = mode
         self.n, self.vslots, self.touches = _slot_model(g, mode)
+        if self.n >= sys.getrecursionlimit() // 2:  # search() recurses once per slot
+            raise TooLargeError(f"{self.n} label slots exceed half the recursion limit")
         self.order = _slot_order(g, mode)
         self.assign = [0] * self.n
         self.used = [False] * (self.n + 1)
@@ -255,17 +260,6 @@ class _Search:
                 self._unapply(s, label)
 
 
-def _initial_lower(g: Graph, mode: SearchMode) -> int:
-    from .bounds import chi_lat_lower_bound
-    try:
-        if mode is SearchMode.TOTAL:
-            return max(1, chi_lat_lower_bound(g))
-        from .coloring import chromatic_number
-        return max(1, chromatic_number(g))
-    except TooLargeError:
-        return max(1, len(g.isolated_vertices()))
-
-
 def solve_min_distinct(g: Graph, mode: SearchMode, budget: SolveBudget = GENEROUS_BUDGET,
                        family: Optional[FamilySpec] = None,
                        pruning: bool = True) -> SolveResult:
@@ -281,7 +275,8 @@ def solve_min_distinct(g: Graph, mode: SearchMode, budget: SolveBudget = GENEROU
                            certificate=_labeling_from_assignment(g, mode, []))
     if mode is SearchMode.EDGE and _has_isolated_edge(g):
         return SolveResult("infeasible")
-    lower = _initial_lower(g, mode)
+    lower = max(1, chi_lat_lower_bound(g) if mode is SearchMode.TOTAL
+                else chromatic_lower_bound(g))
     srch = _Search(g, mode, budget, family=family, pruning=pruning)
     state = {"best": None, "assign": None}
 
@@ -303,19 +298,19 @@ def solve_min_distinct(g: Graph, mode: SearchMode, budget: SolveBudget = GENEROU
         closed = False
 
     best, nodes = state["best"], srch.nodes
-    if best is not None and (closed or best <= lower):
-        cert = _labeling_from_assignment(g, mode, state["assign"])
-        _check_witness(g, cert, best)
+    if best is None and closed:
+        # every graph has a local antimagic total labeling, and every graph
+        # without an isolated edge a local antimagic one (Haslegrave 2018)
+        raise IntegrityError(f"closed {mode.value}-mode search found no labeling")
+    if best is None:
+        return SolveResult("exhausted", lower=lower, nodes_explored=nodes)
+    cert = _labeling_from_assignment(g, mode, state["assign"])
+    _check_witness(g, cert, best)
+    if closed or best <= lower:
         return SolveResult("exact", value=best, lower=best, upper=best,
                            certificate=cert, nodes_explored=nodes)
-    if best is not None:
-        cert = _labeling_from_assignment(g, mode, state["assign"])
-        _check_witness(g, cert, best)
-        return SolveResult("lower_upper", lower=lower, upper=best,
-                           certificate=cert, nodes_explored=nodes)
-    if closed:
-        return SolveResult("infeasible", nodes_explored=nodes)
-    return SolveResult("exhausted", lower=lower, nodes_explored=nodes)
+    return SolveResult("lower_upper", lower=lower, upper=best,
+                       certificate=cert, nodes_explored=nodes)
 
 
 def find_with_at_most_k(g: Graph, k: int, mode: SearchMode,

@@ -40,6 +40,12 @@ class TestLowerBound:
     def test_even_cycle(self):
         assert chi_lat_lower_bound(fam("cycle", 6)) == 2
 
+    def test_beyond_exact_coloring_order(self):
+        # a clique bound stands in for the chromatic number above order 16
+        assert chi_lat_lower_bound(fam("path", 20)) == 2
+        assert chi_lat_lower_bound(fam("complete", 17)) == 17
+        assert bounds_report(fam("empty", 17)).lower == 17
+
 
 class TestConeUpperBound:
     def test_c3(self):

@@ -1,7 +1,13 @@
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import latlab
 
 from latlab import (CertificateError, FamilySpec, Graph, IntegrityError, Labeling,
                     ParseError, export_dot, generate, make_certificate,
@@ -13,6 +19,47 @@ def p3_paper_cert():
     g = generate(FamilySpec("path", (3,)))
     return make_certificate(g, Labeling((1, 3, 2), (5, 4)),
                             "construction:odd-path-sequence")
+
+
+def c3_edge_doc():
+    c3 = generate(FamilySpec("cycle", (3,)))
+    return certificate_to_dict(make_certificate(c3, Labeling(None, (1, 3, 2)), "test"))
+
+
+def _set(*keys_and_value):
+    """A mutation that sets doc[k1][k2]... to the last argument."""
+    *keys, value = keys_and_value
+
+    def mutate(doc):
+        for key in keys[:-1]:
+            doc = doc[key]
+        doc[keys[-1]] = value
+    return mutate
+
+
+# one structural violation per row, on the P3 total certificate unless the
+# row starts from the C3 edge certificate.  Each path is the one jsonschema
+# reported when it checked certificates, except for the integral floats
+# (6.0, 2.0), which it let through.
+MALFORMED = [
+    ("missing-field", None, lambda doc: doc.pop("weights"), "$"),
+    ("missing-graph-p", None, lambda doc: doc["graph"].pop("p"), "$.graph"),
+    ("unknown-mode", None, _set("mode", "half"), "$.mode"),
+    ("wrong-format", None, _set("format", "latlab-certificate/2"), "$.format"),
+    ("true-label", None, _set("edge_labels", 1, True), "$.edge_labels[1]"),
+    ("float-weight", None, _set("weights", 0, 6.0), "$.weights[0]"),
+    ("float-distinct", None, _set("distinct", 2.0), "$.distinct"),
+    ("zero-label", None, _set("vertex_labels", 0, 0), "$.vertex_labels[0]"),
+    ("negative-weight", None, _set("weights", 2, -1), "$.weights[2]"),
+    ("negative-p", None, _set("graph", "p", -1), "$.graph.p"),
+    ("three-element-edge", None, _set("graph", "edges", 0, [0, 1, 2]), "$.graph.edges[0]"),
+    ("string-endpoint", None, _set("graph", "edges", 1, [1, "2"]), "$.graph.edges[1][1]"),
+    ("non-object-provenance", None, _set("provenance", "me"), "$.provenance"),
+    ("non-string-citation", None, _set("citation", 7), "$.citation"),
+    ("short-edge-labels", None, _set("edge_labels", [5]), "$.edge_labels"),
+    ("edge-mode-vertex-labels", "edge", _set("vertex_labels", "x"), "$.vertex_labels"),
+    ("edge-mode-null-vertex-labels", "edge", _set("vertex_labels", None), "$.vertex_labels"),
+]
 
 
 class TestRoundTrip:
@@ -100,12 +147,41 @@ class TestRejection:
         with pytest.raises(IntegrityError, match="distinct"):
             read_certificate(json.dumps(doc))
 
-    def test_schema_violation_carries_path(self):
-        doc = certificate_to_dict(p3_paper_cert())
-        doc["mode"] = "half"
+    @pytest.mark.parametrize("start,mutate,path", [row[1:] for row in MALFORMED],
+                             ids=[row[0] for row in MALFORMED])
+    def test_malformed_field_carries_path(self, start, mutate, path):
+        doc = c3_edge_doc() if start == "edge" else certificate_to_dict(p3_paper_cert())
+        mutate(doc)
         with pytest.raises(CertificateError) as exc:
             read_certificate(json.dumps(doc))
-        assert exc.value.path is not None
+        assert not isinstance(exc.value, IntegrityError)
+        assert exc.value.path == path
+
+    @pytest.mark.parametrize("doc", [[], "certificate", None], ids=["array", "string", "null"])
+    def test_non_object_document(self, doc):
+        with pytest.raises(CertificateError) as exc:
+            read_certificate(json.dumps(doc))
+        assert exc.value.path == "$"
+
+    def test_huge_order_rejected_before_the_graph_is_built(self, monkeypatch):
+        # a graph of 10**12 vertices would exhaust memory; the stub proves
+        # the length check rejects the document first
+        def refuse(p, edges):
+            raise AssertionError(f"graph of order {p} built")
+
+        doc = certificate_to_dict(p3_paper_cert())
+        doc["graph"]["p"] = 10**12
+        monkeypatch.setattr(latlab.certificate.Graph, "from_edges", refuse)
+        with pytest.raises(CertificateError) as exc:
+            read_certificate(json.dumps(doc))
+        assert exc.value.path == "$.vertex_labels"
+
+    def test_edge_mode_vertex_labels_checked_then_dropped(self):
+        doc = c3_edge_doc()
+        doc["vertex_labels"] = [7, 8]
+        cert = read_certificate(json.dumps(doc))
+        assert cert.labeling.vertex_labels is None
+        assert "vertex_labels" not in json.loads(write_certificate(cert))
 
     def test_not_json(self):
         with pytest.raises(ParseError):
@@ -116,6 +192,16 @@ class TestRejection:
         del doc["vertex_labels"]
         with pytest.raises(CertificateError):
             read_certificate(json.dumps(doc))
+
+
+def test_import_does_not_load_jsonschema():
+    # the reader is hand-written; a fresh interpreter shows what importing pulls in
+    code = "import sys, latlab.cli; print('jsonschema' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(latlab.__file__).resolve().parent.parent)}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 class TestDot:

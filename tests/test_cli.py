@@ -25,6 +25,11 @@ class TestGen:
         code, _, err = run(capsys, "gen", "cycle", "2")
         assert code == 2 and "error" in err
 
+    def test_unwritable_out_is_invalid_input(self, capsys, tmp_path):
+        code, _, err = run(capsys, "gen", "cycle", "4",
+                           "--out", str(tmp_path / "absent" / "x.txt"))
+        assert code == 2 and "cannot write" in err
+
 
 class TestSolve:
     def test_c4_total(self, capsys, tmp_path):
@@ -53,6 +58,12 @@ class TestSolve:
         code, _, _ = run(capsys, "solve", "--family", "cycle:3", "--mode", "total",
                          "--k", "2")
         assert code == 3
+
+    def test_too_many_slots_for_the_search(self, capsys):
+        # 1,199 label slots: deeper than the recursive search can go
+        code, _, err = run(capsys, "solve", "--family", "path:600", "--mode", "total",
+                           "--k", "600")
+        assert code == 2 and "recursion limit" in err
 
     def test_budget_exhausted_exit(self, capsys):
         code, _, _ = run(capsys, "solve", "--family", "cycle:7", "--mode", "total",
@@ -148,6 +159,11 @@ class TestBounds:
         payload = json.loads(out)
         assert payload["lower"] == 2 and payload["upper"] == 2
         assert payload["known"]["citation"] == "cycles"
+
+    def test_beyond_exact_coloring_order(self, capsys):
+        code, out, _ = run(capsys, "bounds", "--family", "path:20", "--json")
+        assert code == 0
+        assert json.loads(out)["lower"] == 2
 
     def test_cone_flag(self, capsys, tmp_path):
         path = tmp_path / "p2.txt"

@@ -1,9 +1,10 @@
 import pytest
 
-from latlab import (FamilySpec, Graph, ParameterError, SolveBudget, TooLargeError,
-                    brute_force_min_distinct, find_with_at_most_k, generate,
-                    iter_valid_labelings, solve_min_distinct, verify)
-from latlab.solver import SearchMode, _slot_order
+from latlab import (FamilySpec, Graph, IntegrityError, ParameterError, SolveBudget,
+                    TooLargeError, brute_force_min_distinct, disjoint_union,
+                    find_with_at_most_k, generate, iter_valid_labelings,
+                    solve_min_distinct, verify)
+from latlab.solver import SearchMode, _Search, _slot_order
 
 QUICK = SolveBudget(max_nodes=50_000_000, max_millis=120_000)
 
@@ -128,6 +129,22 @@ class TestSolve:
     def test_isolated_edge_infeasible_edge_mode(self):
         g = fam("k2_plus_empty", 3)
         assert solve_min_distinct(g, "edge", QUICK).status == "infeasible"
+
+    def test_closed_search_without_labeling_is_a_bug(self, monkeypatch):
+        # every graph has a local antimagic total labeling, so a search that
+        # closes without one is a solver fault, not an "infeasible" answer
+        monkeypatch.setattr(_Search, "_apply", lambda self, s, label: False)
+        with pytest.raises(IntegrityError, match="found no labeling"):
+            solve_min_distinct(fam("cycle", 4), "total", QUICK)
+        assert solve_min_distinct(fam("complete", 2), "edge", QUICK).status == "infeasible"
+
+    def test_edge_mode_lower_bound_beyond_exact_coloring_order(self):
+        # C4 plus 13 isolated vertices: 17 vertices, above the exact-coloring
+        # order.  The isolated vertices all weigh 0 in edge mode, so their
+        # count is no lower bound; taken as one, it cut the search off at 5.
+        g = disjoint_union(fam("cycle", 4), Graph(13, ()))
+        res = solve_min_distinct(g, "edge", QUICK)
+        assert (res.status, res.value) == ("exact", 4)
 
 
 class TestFindWithAtMostK:
