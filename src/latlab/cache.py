@@ -2,7 +2,9 @@
 
 Keyed by the exact labeled graph and mode, not by isomorphism class.
 A hit is re-verified before reuse; entries that fail re-verification are
-deleted and recomputed.
+deleted and recomputed.  An entry that a budget cut short (`lower_upper`,
+`exhausted`) is served only to a budget no larger than the one it was
+solved under, so a larger budget retries it.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from typing import Optional
 from .certificate import certificate_from_dict
 from .graph import Graph
 from .labeling import verify
+from .solver import SolveBudget
 
 CACHE_ENV_VAR = "LATLAB_CACHE_DIR"
 
@@ -32,7 +35,13 @@ def cache_key(g: Graph, mode: str) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
-def load_entry(directory: Path, g: Graph, mode: str) -> Optional[dict]:
+def _larger(new: Optional[int], old: Optional[int]) -> bool:
+    """Whether limit `new` exceeds `old`, None being unbounded."""
+    return old is not None and (new is None or new > old)
+
+
+def load_entry(directory: Path, g: Graph, mode: str,
+               budget: Optional[SolveBudget] = None) -> Optional[dict]:
     path = directory / (cache_key(g, mode) + ".json")
     if not path.exists():
         return None
@@ -53,6 +62,11 @@ def load_entry(directory: Path, g: Graph, mode: str) -> Optional[dict]:
                 raise ValueError("certificate does not witness the stored value")
         elif entry.get("status") == "exact":
             raise ValueError("exact entry without certificate")
+        if budget is not None and entry.get("status") in ("lower_upper", "exhausted"):
+            used = entry.get("budget") or {}  # none stored: solved under no known budget
+            if _larger(budget.max_nodes, used.get("max_nodes", 0)) \
+                    or _larger(budget.max_millis, used.get("max_millis", 0)):
+                return None  # a miss, kept on disk: the larger budget may get further
     except Exception:
         path.unlink(missing_ok=True)
         return None
@@ -60,7 +74,8 @@ def load_entry(directory: Path, g: Graph, mode: str) -> Optional[dict]:
 
 
 def store_entry(directory: Path, g: Graph, mode: str, status: str,
-                value=None, lower=None, upper=None, certificate_doc=None):
+                value=None, lower=None, upper=None, certificate_doc=None,
+                budget: Optional[SolveBudget] = None):
     directory.mkdir(parents=True, exist_ok=True)
     entry = {
         "key_graph": {"p": g.p, "edges": [list(e) for e in g.edges]},
@@ -70,6 +85,8 @@ def store_entry(directory: Path, g: Graph, mode: str, status: str,
         "lower": lower,
         "upper": upper,
         "certificate": certificate_doc,
+        "budget": None if budget is None else {"max_nodes": budget.max_nodes,
+                                               "max_millis": budget.max_millis},
         "timestamp": time.time(),
     }
     path = directory / (cache_key(g, mode) + ".json")

@@ -113,10 +113,13 @@ def certificate_from_dict(doc: dict) -> Certificate:
     distinct = _field(doc, "distinct", int, "$")
     provenance = dict(_field(doc, "provenance", dict, "$"))
     citation = _field(doc, "citation", str, "$") if "citation" in doc else None
+    # each label travels with its edge into the graph's canonical edge order
+    order = sorted(range(len(edges)), key=lambda i: sorted(edges[i]))
     try:
-        graph = Graph.from_edges(p, edges)
+        graph = Graph.from_edges(p, [edges[i] for i in order])
     except ValidationError as exc:
         raise CertificateError(f"bad embedded graph: {exc}", path="$.graph") from exc
+    edge_labels = tuple(edge_labels[i] for i in order)
 
     cert = Certificate(graph, Labeling(vertex_labels, edge_labels), weights, distinct,
                        provenance, citation,

@@ -234,7 +234,7 @@ def cmd_atlas(args) -> int:
         if not line:
             continue
         g = graph6_decode(line)
-        entry = load_entry(directory, g, mode.value) if directory else None
+        entry = load_entry(directory, g, mode.value, budget) if directory else None
         if entry is None:
             res = solve_min_distinct(g, mode, budget)
             cert_doc = None
@@ -246,7 +246,8 @@ def cmd_atlas(args) -> int:
             if directory:
                 entry = store_entry(directory, g, mode.value, res.status,
                                     value=res.value, lower=res.lower,
-                                    upper=res.upper, certificate_doc=cert_doc)
+                                    upper=res.upper, certificate_doc=cert_doc,
+                                    budget=budget)
             entry["cached"] = False
         else:
             entry["cached"] = True

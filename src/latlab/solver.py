@@ -143,121 +143,110 @@ class _Stop(Exception):
 
 
 class _Search:
-    """Backtracking over label slots with incremental weight bookkeeping."""
+    """Backtracking over label slots with incremental weight bookkeeping.
+
+    Slots are filled in the static order `_slot_order`, so the depth at
+    which each vertex weight completes is fixed in advance; `steps[d]`
+    holds what placing a label at depth d touches and which adjacent pairs
+    it may set equal."""
 
     def __init__(self, g: Graph, mode: SearchMode, budget: SolveBudget,
                  family: Optional[FamilySpec] = None, pruning: bool = True):
-        self.g = g
-        self.mode = mode
-        self.n, self.vslots, self.touches = _slot_model(g, mode)
-        if self.n >= sys.getrecursionlimit() // 2:  # search() recurses once per slot
-            raise TooLargeError(f"{self.n} label slots exceed half the recursion limit")
-        self.order = _slot_order(g, mode)
-        self.assign = [0] * self.n
-        self.used = [False] * (self.n + 1)
+        n, vslots, touches = _slot_model(g, mode)
+        self.n = n
+        if n >= sys.getrecursionlimit() // 2:  # the search recurses once per slot
+            raise TooLargeError(f"{n} label slots exceed half the recursion limit")
+        order = _slot_order(g, mode)
+        self.assign = [0] * n
         self.wpart = [0] * g.p
-        self.pending = [len(s) for s in self.vslots]
-        self.wcount = {}
+        self.wcount = [0] * (n * (n + 1) // 2 + 1)  # vertices per weight
+        # vertices with no contributing slots (isolated, edge mode) weigh 0
+        self.wcount[0] = sum(1 for s in vslots if not s)
+        self.distinct = int(self.wcount[0] > 0)
         self.nodes = 0
         self.pruning = pruning
         self.allowed = g.p  # max distinct weights tolerated in this search
         self.max_nodes = budget.max_nodes
         self.deadline = (time.monotonic() + budget.max_millis / 1000.0
                          if budget.max_millis is not None else None)
-        # vertices with no contributing slots (isolated, edge mode) weigh 0
-        for v in range(g.p):
-            if self.pending[v] == 0:
-                self.wcount[0] = self.wcount.get(0, 0) + 1
 
-        self.orbit_rest = frozenset()
-        self.orbit_star = None
+        # the orbit representative (earlier in the order) keeps the orbit's
+        # smallest label: a slot of orbit_rest starts above assign[star]
+        orbit_rest, star = (), None
         if pruning:
             orbit = symmetry_orbit(g, family, mode)
             if orbit and len(orbit) >= 2:
-                pos = {s: i for i, s in enumerate(self.order)}
+                pos = {s: i for i, s in enumerate(order)}
                 star = min(orbit, key=lambda s: pos[s])
-                self.orbit_star = star
-                self.orbit_rest = frozenset(set(orbit) - {star})
+                orbit_rest = frozenset(orbit) - {star}
+        at = {v: d for d, s in enumerate(order) for v in touches[s]}  # v completes at d
+        self.steps = []
+        for d, s in enumerate(order):
+            done = tuple(v for v in touches[s] if at[v] == d)
+            pairs = tuple((v, u) for v in done for u in g.neighbors(v)
+                          if at[u] < d or (at[u] == d and u < v))
+            self.steps.append((s, touches[s], done, pairs,
+                               star if s in orbit_rest else None))
 
-    # -- incremental assignment ------------------------------------------
+    def search(self, on_solution):
+        """Call on_solution() at every complete labeling, in ascending
+        label order; each free label tried at a slot counts one node."""
+        n, steps, assign, wpart, wcount = (self.n, self.steps, self.assign,
+                                           self.wpart, self.wcount)
+        pruning, allowed, distinct = self.pruning, self.allowed, self.distinct
+        limit = self.max_nodes if self.max_nodes is not None else sys.maxsize
+        deadline, monotonic, nodes = self.deadline, time.monotonic, self.nodes
+        # free labels as a doubly linked list between sentinels 0 and n + 1
+        nxt = list(range(1, n + 2))
+        prv = list(range(-1, n + 1))
 
-    def _apply(self, s: int, label: int):
-        """Place label on slot s; returns True unless a weight conflict
-        between adjacent completed vertices appears (then fully undone)."""
-        g = self.g
-        done = []
-        for v in self.touches[s]:
-            self.wpart[v] += label
-            self.pending[v] -= 1
-            if self.pending[v] == 0:
-                done.append(v)
-        conflict = False
-        registered = 0
-        for v in done:
-            w = self.wpart[v]
-            for u in g.neighbors(v):
-                if self.pending[u] == 0 and self.wpart[u] == w and u != v:
-                    conflict = True
-                    break
-            if conflict:
-                break
-            self.wcount[w] = self.wcount.get(w, 0) + 1
-            registered += 1
-        if conflict:
-            for v in done[:registered]:
-                self._forget_weight(self.wpart[v])
-            for v in self.touches[s]:
-                self.wpart[v] -= label
-                self.pending[v] += 1
-            return False
-        self.assign[s] = label
-        self.used[label] = True
-        return True
+        def descend(depth):
+            nonlocal nodes, distinct, allowed
+            if depth == n:
+                self.nodes, self.distinct = nodes, distinct
+                on_solution()
+                allowed = self.allowed
+                return
+            s, touch, done, pairs, star = steps[depth]
+            label = nxt[0]
+            if star is not None:
+                floor = assign[star]
+                while label <= floor:
+                    label = nxt[label]
+            while label <= n:
+                nodes += 1
+                if nodes > limit or (deadline is not None and not nodes & 1023
+                                     and monotonic() > deadline):
+                    raise _BudgetExceeded
+                for v in touch:
+                    wpart[v] += label
+                for v, u in pairs:
+                    if wpart[v] == wpart[u]:
+                        break
+                else:
+                    for v in done:
+                        w = wpart[v]
+                        if not wcount[w]:
+                            distinct += 1
+                        wcount[w] += 1
+                    if not pruning or distinct <= allowed:
+                        assign[s] = label
+                        nxt[prv[label]], prv[nxt[label]] = nxt[label], prv[label]
+                        descend(depth + 1)
+                        nxt[prv[label]] = prv[nxt[label]] = label
+                    for v in done:
+                        w = wpart[v]
+                        wcount[w] -= 1
+                        if not wcount[w]:
+                            distinct -= 1
+                for v in touch:
+                    wpart[v] -= label
+                label = nxt[label]
 
-    def _forget_weight(self, w: int):
-        c = self.wcount[w]
-        if c == 1:
-            del self.wcount[w]
-        else:
-            self.wcount[w] = c - 1
-
-    def _unapply(self, s: int, label: int):
-        for v in self.touches[s]:
-            if self.pending[v] == 0:
-                self._forget_weight(self.wpart[v])
-            self.wpart[v] -= label
-            self.pending[v] += 1
-        self.assign[s] = 0
-        self.used[label] = False
-
-    # -- search ----------------------------------------------------------
-
-    def _tick(self):
-        self.nodes += 1
-        if self.max_nodes is not None and self.nodes > self.max_nodes:
-            raise _BudgetExceeded
-        if self.deadline is not None and (self.nodes & 1023) == 0 \
-                and time.monotonic() > self.deadline:
-            raise _BudgetExceeded
-
-    def search(self, depth: int, on_solution):
-        if depth == self.n:
-            on_solution()
-            return
-        s = self.order[depth]
-        lo = 1
-        if s in self.orbit_rest:
-            # the orbit representative (earlier in the order) keeps the
-            # orbit's smallest label
-            lo = self.assign[self.orbit_star] + 1
-        for label in range(lo, self.n + 1):
-            if self.used[label]:
-                continue
-            self._tick()
-            if self._apply(s, label):
-                if not self.pruning or len(self.wcount) <= self.allowed:
-                    self.search(depth + 1, on_solution)
-                self._unapply(s, label)
+        try:
+            descend(0)
+        finally:
+            self.nodes, self.distinct = nodes, distinct
 
 
 def solve_min_distinct(g: Graph, mode: SearchMode, budget: SolveBudget = GENEROUS_BUDGET,
@@ -281,7 +270,7 @@ def solve_min_distinct(g: Graph, mode: SearchMode, budget: SolveBudget = GENEROU
     state = {"best": None, "assign": None}
 
     def on_solution():
-        d = len(srch.wcount)
+        d = srch.distinct
         if state["best"] is None or d < state["best"]:
             state["best"] = d
             state["assign"] = list(srch.assign)
@@ -291,7 +280,7 @@ def solve_min_distinct(g: Graph, mode: SearchMode, budget: SolveBudget = GENEROU
 
     closed = True
     try:
-        srch.search(0, on_solution)
+        srch.search(on_solution)
     except _Stop:
         pass
     except _BudgetExceeded:
@@ -345,7 +334,7 @@ def find_with_at_most_k(g: Graph, k: int, mode: SearchMode,
         raise _Stop
 
     try:
-        srch.search(0, on_solution)
+        srch.search(on_solution)
     except _Stop:
         cert = _labeling_from_assignment(g, mode, state["assign"])
         _check_witness(g, cert, None)
@@ -368,7 +357,7 @@ def iter_valid_labelings(g: Graph, mode: SearchMode, limit: int,
             raise _Stop
 
     try:
-        srch.search(0, on_solution)
+        srch.search(on_solution)
     except (_Stop, _BudgetExceeded):
         pass
     return found

@@ -105,6 +105,17 @@ class TestRoundTrip:
         assert write_certificate(cert) == text
         assert read_certificate(text) == cert
 
+    def test_edge_labels_follow_their_edges(self):
+        # a correct document need not list its edges in canonical order;
+        # each label belongs to the edge at its own position
+        doc = certificate_to_dict(p3_paper_cert())
+        doc["graph"]["edges"] = [[1, 2], [0, 1]]
+        doc["edge_labels"] = [4, 5]
+        cert = read_certificate(json.dumps(doc))
+        assert cert.weights == (6, 12, 6)
+        assert cert.labeling == Labeling((1, 3, 2), (5, 4))
+        assert write_certificate(cert) == write_certificate(p3_paper_cert())
+
     def test_unknown_fields_preserved(self):
         doc = certificate_to_dict(p3_paper_cert())
         doc["x-reviewer-note"] = {"seen": True}

@@ -1,7 +1,10 @@
+import json
+from pathlib import Path
+
 import pytest
 
-from latlab import (FamilySpec, Graph, IntegrityError, ParameterError, SolveBudget,
-                    TooLargeError, brute_force_min_distinct, disjoint_union,
+from latlab import (FamilySpec, Graph, IntegrityError, Labeling, ParameterError,
+                    SolveBudget, TooLargeError, brute_force_min_distinct, disjoint_union,
                     find_with_at_most_k, generate, iter_valid_labelings,
                     solve_min_distinct, verify)
 from latlab.solver import SearchMode, _Search, _slot_order
@@ -133,10 +136,29 @@ class TestSolve:
     def test_closed_search_without_labeling_is_a_bug(self, monkeypatch):
         # every graph has a local antimagic total labeling, so a search that
         # closes without one is a solver fault, not an "infeasible" answer
-        monkeypatch.setattr(_Search, "_apply", lambda self, s, label: False)
+        monkeypatch.setattr(_Search, "search", lambda self, on_solution: None)
         with pytest.raises(IntegrityError, match="found no labeling"):
             solve_min_distinct(fam("cycle", 4), "total", QUICK)
         assert solve_min_distinct(fam("complete", 2), "edge", QUICK).status == "infeasible"
+
+    @pytest.mark.parametrize("mode,max_universe", [("total", 9), ("edge", 7)])
+    def test_oracle_agreement_atlas(self, mode, max_universe):
+        # every graph on <= 7 vertices whose label universe the oracle
+        # enumerates quickly, with pruning on and off
+        nx = pytest.importorskip("networkx")
+        mismatches, checked = [], 0
+        for i, G in enumerate(nx.graph_atlas_g()):
+            g = Graph.from_edges(G.number_of_nodes(), G.edges())
+            if (g.p + g.q if mode == "total" else g.q) > max_universe:
+                continue
+            checked += 1
+            oracle = brute_force_min_distinct(g, mode)
+            for pruning in (True, False):
+                ours = solve_min_distinct(g, mode, QUICK, pruning=pruning)
+                if (ours.status, ours.value) != (oracle.status, oracle.value):
+                    mismatches.append((i, pruning, ours.status, ours.value, oracle.value))
+        assert checked == {"total": 45, "edge": 273}[mode]
+        assert mismatches == []
 
     def test_edge_mode_lower_bound_beyond_exact_coloring_order(self):
         # C4 plus 13 isolated vertices: 17 vertices, above the exact-coloring
@@ -183,6 +205,60 @@ class TestFindWithAtMostK:
                                      family=FamilySpec("cycle", (4,)), accept=accept)
         assert plain.status == tagged.status == "found"
         assert accept(tagged.certificate)
+
+
+class TestSearchTree:
+    """The search tree is pinned: labels tried in ascending order, one node
+    per free label tried, the budget checked before the weight conflict.
+    The counts and witnesses below are those of the original per-node
+    method search, so a faster search core must reproduce them exactly."""
+
+    def test_c5_total_at_2_none(self):
+        res = find_with_at_most_k(fam("cycle", 5), 2, "total", QUICK)
+        assert (res.status, res.nodes_explored) == ("none", 939_492)
+
+    @pytest.mark.parametrize("kind,n,value,nodes,edge_labels", [
+        ("wheel", 4, 3, 15_983, (2, 4, 5, 7, 6, 3, 1, 8)),
+        ("complete", 4, 4, 6, (1, 2, 3, 4, 5, 6)),
+    ])
+    def test_edge_mode_solve(self, kind, n, value, nodes, edge_labels):
+        res = solve_min_distinct(fam(kind, n), "edge", QUICK)
+        assert (res.status, res.value, res.nodes_explored) == ("exact", value, nodes)
+        assert res.certificate == Labeling(None, edge_labels)
+
+    @pytest.mark.parametrize("kind,n,value,nodes,labels", [
+        ("cycle", 5, 3, 3_437, ((1, 6, 7, 4, 10), (2, 3, 9, 5, 8))),
+        ("complete", 4, 4, 10, ((1, 5, 8, 10), (2, 3, 4, 6, 7, 9))),
+        ("cycle", 4, 2, 6_278, ((3, 8, 1, 4), (2, 7, 6, 5))),
+    ])
+    def test_family_orbit_solve(self, kind, n, value, nodes, labels):
+        # the orbit's later slots start above the representative's label
+        spec = FamilySpec(kind, (n,))
+        res = solve_min_distinct(generate(spec), "total", QUICK, family=spec)
+        assert (res.status, res.value, res.nodes_explored) == ("exact", value, nodes)
+        assert res.certificate == Labeling(*labels)
+
+    @pytest.mark.parametrize("kind,n,pruned,plain", [
+        ("cycle", 4, 2_150, 3_196), ("path", 4, 8_196, 12_037),
+        ("k2_plus_empty", 2, 148, 188),
+    ])
+    def test_pruning_on_and_off(self, kind, n, pruned, plain):
+        g = fam(kind, n)
+        assert solve_min_distinct(g, "total", QUICK).nodes_explored == pruned
+        assert solve_min_distinct(g, "total", QUICK, pruning=False).nodes_explored == plain
+
+    def test_budget_stop_counts_the_refused_node(self):
+        res = find_with_at_most_k(fam("wheel", 4), 3, "total", SolveBudget(max_nodes=100_000))
+        assert (res.status, res.nodes_explored) == ("unknown", 100_001)
+
+    @pytest.mark.parametrize("name,kind,n,mode", [
+        ("c5_total", "cycle", 5, "total"), ("w4_edge", "wheel", 4, "edge"),
+    ])
+    def test_first_labelings(self, name, kind, n, mode):
+        golden = json.loads((Path(__file__).parent / "data" / "first_labelings.json")
+                            .read_text())[name]
+        labs = iter_valid_labelings(fam(kind, n), mode, 50)
+        assert [list(lab.labels) for lab in labs] == golden
 
 
 class TestIterValidLabelings:
