@@ -121,20 +121,18 @@ def cmd_solve(args) -> int:
     if args.k is not None:
         res = find_with_at_most_k(g, args.k, mode, budget, family=spec)
         payload = {"status": res.status, "k": args.k, "nodes": res.nodes_explored}
-        cert = res.certificate
         status_exit = {"found": EXIT_OK, "none": EXIT_INFEASIBLE,
                        "unknown": EXIT_EXHAUSTED}[res.status]
     else:
         res = solve_min_distinct(g, mode, budget, family=spec)
         payload = _solve_payload(res)
-        cert = res.certificate if res.status == "exact" else None
         status_exit = {"exact": EXIT_OK, "infeasible": EXIT_INFEASIBLE,
                        "lower_upper": EXIT_EXHAUSTED,
                        "exhausted": EXIT_EXHAUSTED}[res.status]
 
     cert_doc = None
-    if cert is not None:
-        certificate = make_certificate(g, cert, "solver:branch-and-bound")
+    if res.certificate is not None:
+        certificate = make_certificate(g, res.certificate, "solver:branch-and-bound")
         cert_doc = certificate_to_dict(certificate)
         if args.cert:
             _emit(write_certificate(certificate), args.cert)

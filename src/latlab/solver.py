@@ -9,6 +9,7 @@ Two independent routes to the same quantity:
 
 from __future__ import annotations
 
+import heapq
 import sys
 import time
 from dataclasses import dataclass
@@ -23,6 +24,7 @@ from .graph import FamilySpec, Graph
 from .labeling import Labeling, check
 
 BRUTE_FORCE_UNIVERSE_LIMIT = 10
+_WEIGHT_TABLE_LIMIT = 10_000_000  # 80 MB of per-weight counts
 
 
 class SearchMode(str, Enum):
@@ -86,25 +88,37 @@ def _slot_order(g: Graph, mode: SearchMode):
 
     Greedy: pick the slot finishing the most vertices; tie-break by how
     close it brings its nearest vertex to completion, then by slot index.
+    Keys only fall as slots are placed, so a heap that gets each slot's
+    new key when it changes pops the same slot as a full scan; a slot's
+    older keys are larger and pop after it is placed.
     """
     n, vslots, touches = _slot_model(g, mode)
     need = [len(s) for s in vslots]
+
+    def key(s):
+        completes = sum(1 for v in touches[s] if need[v] == 1)
+        closeness = min((need[v] - 1 for v in touches[s]), default=n + 1)
+        return (-completes, closeness, s)
+
+    current = [key(s) for s in range(n)]
+    heap = list(current)
+    heapq.heapify(heap)
     placed = [False] * n
     order = []
-    for _ in range(n):
-        best_s, best_key = None, None
-        for s in range(n):
-            if placed[s]:
-                continue
-            completes = sum(1 for v in touches[s] if need[v] == 1)
-            closeness = min((need[v] - 1 for v in touches[s]), default=n + 1)
-            key = (-completes, closeness, s)
-            if best_key is None or key < best_key:
-                best_s, best_key = s, key
-        placed[best_s] = True
-        order.append(best_s)
-        for v in touches[best_s]:
+    while heap:
+        s = heapq.heappop(heap)[2]
+        if placed[s]:
+            continue
+        placed[s] = True
+        order.append(s)
+        for v in touches[s]:
             need[v] -= 1
+            for t in vslots[v]:
+                if not placed[t]:
+                    k = key(t)
+                    if k != current[t]:
+                        current[t] = k
+                        heapq.heappush(heap, k)
     return order
 
 
@@ -134,14 +148,6 @@ def _has_isolated_edge(g: Graph) -> bool:
     return any(g.degree(u) == 1 and g.degree(v) == 1 for u, v in g.edges)
 
 
-class _BudgetExceeded(Exception):
-    pass
-
-
-class _Stop(Exception):
-    pass
-
-
 class _Search:
     """Backtracking over label slots with incremental weight bookkeeping.
 
@@ -154,16 +160,21 @@ class _Search:
                  family: Optional[FamilySpec] = None, pruning: bool = True):
         n, vslots, touches = _slot_model(g, mode)
         self.n = n
-        if n >= sys.getrecursionlimit() // 2:  # the search recurses once per slot
-            raise TooLargeError(f"{n} label slots exceed half the recursion limit")
+        # a vertex fed by r slots weighs at most the sum of the r largest labels
+        r = max(map(len, vslots), default=0)
+        heaviest = r * n - r * (r - 1) // 2
+        if heaviest > _WEIGHT_TABLE_LIMIT:
+            raise TooLargeError(f"vertex weights up to {heaviest} exceed the "
+                                f"weight table limit {_WEIGHT_TABLE_LIMIT}")
+        self.wcount = [0] * (heaviest + 1)  # vertices per weight
         order = _slot_order(g, mode)
         self.assign = [0] * n
         self.wpart = [0] * g.p
-        self.wcount = [0] * (n * (n + 1) // 2 + 1)  # vertices per weight
         # vertices with no contributing slots (isolated, edge mode) weigh 0
         self.wcount[0] = sum(1 for s in vslots if not s)
         self.distinct = int(self.wcount[0] > 0)
         self.nodes = 0
+        self.cut = False  # set when the budget stopped the search
         self.pruning = pruning
         self.allowed = g.p  # max distinct weights tolerated in this search
         self.max_nodes = budget.max_nodes
@@ -188,9 +199,12 @@ class _Search:
             self.steps.append((s, touches[s], done, pairs,
                                star if s in orbit_rest else None))
 
-    def search(self, on_solution):
-        """Call on_solution() at every complete labeling, in ascending
-        label order; each free label tried at a slot counts one node."""
+    def labelings(self):
+        """Yield the distinct-weight count of every complete labeling, in
+        ascending label order, leaving the labeling in `assign` until
+        resumed; `allowed` is read again after each yield.  Each free label
+        tried at a slot counts one node; `cut` is set when the budget stops
+        the search."""
         n, steps, assign, wpart, wcount = (self.n, self.steps, self.assign,
                                            self.wpart, self.wcount)
         pruning, allowed, distinct = self.pruning, self.allowed, self.distinct
@@ -199,25 +213,43 @@ class _Search:
         # free labels as a doubly linked list between sentinels 0 and n + 1
         nxt = list(range(1, n + 2))
         prv = list(range(-1, n + 1))
-
-        def descend(depth):
-            nonlocal nodes, distinct, allowed
+        depth = 0
+        while True:
             if depth == n:
-                self.nodes, self.distinct = nodes, distinct
-                on_solution()
+                self.nodes = nodes
+                yield distinct
                 allowed = self.allowed
-                return
-            s, touch, done, pairs, star = steps[depth]
-            label = nxt[0]
-            if star is not None:
-                floor = assign[star]
-                while label <= floor:
+                label = n + 1
+            else:
+                s, touch, done, pairs, star = steps[depth]
+                label = nxt[0]
+                if star is not None:
+                    floor = assign[star]
+                    while label <= floor:
+                        label = nxt[label]
+            while True:  # try labels from `label` up; out of labels, back up
+                if label > n:
+                    if depth == 0:
+                        self.nodes = nodes
+                        return
+                    depth -= 1
+                    s, touch, done, pairs, _ = steps[depth]
+                    label = assign[s]
+                    nxt[prv[label]] = prv[nxt[label]] = label
+                    for v in done:
+                        w = wpart[v]
+                        wcount[w] -= 1
+                        if not wcount[w]:
+                            distinct -= 1
+                    for v in touch:
+                        wpart[v] -= label
                     label = nxt[label]
-            while label <= n:
+                    continue
                 nodes += 1
                 if nodes > limit or (deadline is not None and not nodes & 1023
                                      and monotonic() > deadline):
-                    raise _BudgetExceeded
+                    self.nodes, self.cut = nodes, True
+                    return
                 for v in touch:
                     wpart[v] += label
                 for v, u in pairs:
@@ -230,10 +262,7 @@ class _Search:
                             distinct += 1
                         wcount[w] += 1
                     if not pruning or distinct <= allowed:
-                        assign[s] = label
-                        nxt[prv[label]], prv[nxt[label]] = nxt[label], prv[label]
-                        descend(depth + 1)
-                        nxt[prv[label]] = prv[nxt[label]] = label
+                        break  # leaves the while loop: place label, descend
                     for v in done:
                         w = wpart[v]
                         wcount[w] -= 1
@@ -242,11 +271,9 @@ class _Search:
                 for v in touch:
                     wpart[v] -= label
                 label = nxt[label]
-
-        try:
-            descend(0)
-        finally:
-            self.nodes, self.distinct = nodes, distinct
+            assign[s] = label
+            nxt[prv[label]], prv[nxt[label]] = nxt[label], prv[label]
+            depth += 1
 
 
 def solve_min_distinct(g: Graph, mode: SearchMode, budget: SolveBudget = GENEROUS_BUDGET,
@@ -259,43 +286,29 @@ def solve_min_distinct(g: Graph, mode: SearchMode, budget: SolveBudget = GENEROU
     exact answer.
     """
     mode = SearchMode(mode)
-    if g.p == 0:
-        return SolveResult("exact", value=0, lower=0, upper=0,
-                           certificate=_labeling_from_assignment(g, mode, []))
     if mode is SearchMode.EDGE and _has_isolated_edge(g):
         return SolveResult("infeasible")
     lower = max(1, chi_lat_lower_bound(g) if mode is SearchMode.TOTAL
                 else chromatic_lower_bound(g))
     srch = _Search(g, mode, budget, family=family, pruning=pruning)
-    state = {"best": None, "assign": None}
-
-    def on_solution():
-        d = srch.distinct
-        if state["best"] is None or d < state["best"]:
-            state["best"] = d
-            state["assign"] = list(srch.assign)
+    best = assign = None
+    for d in srch.labelings():
+        if best is None or d < best:
+            best, assign = d, list(srch.assign)
             srch.allowed = d - 1
             if d <= lower:
-                raise _Stop
+                break
 
-    closed = True
-    try:
-        srch.search(on_solution)
-    except _Stop:
-        pass
-    except _BudgetExceeded:
-        closed = False
-
-    best, nodes = state["best"], srch.nodes
-    if best is None and closed:
+    nodes = srch.nodes
+    if best is None and not srch.cut:
         # every graph has a local antimagic total labeling, and every graph
         # without an isolated edge a local antimagic one (Haslegrave 2018)
         raise IntegrityError(f"closed {mode.value}-mode search found no labeling")
     if best is None:
         return SolveResult("exhausted", lower=lower, nodes_explored=nodes)
-    cert = _labeling_from_assignment(g, mode, state["assign"])
+    cert = _labeling_from_assignment(g, mode, assign)
     _check_witness(g, cert, best)
-    if closed or best <= lower:
+    if not srch.cut or best <= lower:
         return SolveResult("exact", value=best, lower=best, upper=best,
                            certificate=cert, nodes_explored=nodes)
     return SolveResult("lower_upper", lower=lower, upper=best,
@@ -318,48 +331,34 @@ def find_with_at_most_k(g: Graph, k: int, mode: SearchMode,
     if k < 1:
         raise ParameterError(f"k must be >= 1, got {k}")
     mode = SearchMode(mode)
-    if g.p == 0:
-        return FeasibilityResult("found", _labeling_from_assignment(g, mode, []))
     if mode is SearchMode.EDGE and _has_isolated_edge(g):
         return FeasibilityResult("none")
     srch = _Search(g, mode, budget, family=family if accept is None else None)
     srch.allowed = k
-    state = {"assign": None}
-
-    def on_solution():
-        if accept is not None and not accept(
-                _labeling_from_assignment(g, mode, srch.assign)):
-            return
-        state["assign"] = list(srch.assign)
-        raise _Stop
-
-    try:
-        srch.search(on_solution)
-    except _Stop:
-        cert = _labeling_from_assignment(g, mode, state["assign"])
-        _check_witness(g, cert, None)
-        return FeasibilityResult("found", cert, srch.nodes)
-    except _BudgetExceeded:
-        return FeasibilityResult("unknown", nodes_explored=srch.nodes)
-    return FeasibilityResult("none", nodes_explored=srch.nodes)
+    for _ in srch.labelings():
+        cert = _labeling_from_assignment(g, mode, srch.assign)
+        if accept is None or accept(cert):
+            _check_witness(g, cert, None)
+            return FeasibilityResult("found", cert, srch.nodes)
+    return FeasibilityResult("unknown" if srch.cut else "none", nodes_explored=srch.nodes)
 
 
 def iter_valid_labelings(g: Graph, mode: SearchMode, limit: int,
                          budget: SolveBudget = GENEROUS_BUDGET):
-    """First `limit` valid labelings in deterministic search order."""
+    """First `limit` valid labelings in deterministic search order.
+
+    Raises TooLargeError when the budget stops the search first; a search
+    that closes with fewer labelings returns them all."""
     mode = SearchMode(mode)
     srch = _Search(g, mode, budget, pruning=False)
     found = []
-
-    def on_solution():
+    for _ in srch.labelings():
         found.append(_labeling_from_assignment(g, mode, srch.assign))
         if len(found) >= limit:
-            raise _Stop
-
-    try:
-        srch.search(on_solution)
-    except (_Stop, _BudgetExceeded):
-        pass
+            return found
+    if srch.cut:
+        raise TooLargeError(f"budget stopped the search after {srch.nodes} nodes "
+                            f"with {len(found)} of {limit} labelings found")
     return found
 
 

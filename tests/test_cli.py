@@ -59,11 +59,24 @@ class TestSolve:
                          "--k", "2")
         assert code == 3
 
-    def test_too_many_slots_for_the_search(self, capsys):
-        # 1,199 label slots: deeper than the recursive search can go
-        code, _, err = run(capsys, "solve", "--family", "path:600", "--mode", "total",
-                           "--k", "600")
-        assert code == 2 and "recursion limit" in err
+    def test_search_deeper_than_the_recursion_limit(self, capsys, tmp_path):
+        # 1,199 label slots, one search level each
+        cert = tmp_path / "p600.json"
+        code, out, _ = run(capsys, "solve", "--family", "path:600", "--mode", "total",
+                           "--k", "600", "--json", "--cert", str(cert))
+        payload = json.loads(out)
+        assert code == 0
+        assert (payload["status"], payload["nodes"]) == ("found", 1199)
+        assert run(capsys, "verify", str(cert))[0] == 0
+
+    def test_lower_upper_keeps_its_witness(self, capsys, tmp_path):
+        cert = tmp_path / "c7.json"
+        code, out, _ = run(capsys, "solve", "--family", "cycle:7", "--mode", "total",
+                           "--max-nodes", "2000", "--json", "--cert", str(cert))
+        payload = json.loads(out)
+        assert code == 4 and payload["status"] == "lower_upper"
+        code, out, _ = run(capsys, "verify", str(cert), "--json")
+        assert code == 0 and json.loads(out)["distinct"] == payload["upper"]
 
     def test_budget_exhausted_exit(self, capsys):
         code, _, _ = run(capsys, "solve", "--family", "cycle:7", "--mode", "total",

@@ -48,3 +48,16 @@ def test_no_assert_statements_in_package():
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(node, ast.Assert)]
     assert not found, f"assert is stripped by python -O; raise instead: {found}"
+
+
+def test_no_recursion_in_the_solver():
+    # the search runs one level per label slot, so a recursive solver would
+    # refuse or crash on graphs deeper than the interpreter's recursion limit
+    tree = ast.parse((SRC / "solver.py").read_text())
+    found = [f"{fn.name}:{node.lineno}"
+             for fn in ast.walk(tree)
+             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+             for node in ast.walk(fn)
+             if isinstance(node, ast.Call)
+             and fn.name == getattr(node.func, "id", getattr(node.func, "attr", None))]
+    assert not found, f"solver.py functions call themselves: {found}"

@@ -1,4 +1,7 @@
 import json
+import random
+import sys
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -7,7 +10,7 @@ from latlab import (FamilySpec, Graph, IntegrityError, Labeling, ParameterError,
                     SolveBudget, TooLargeError, brute_force_min_distinct, disjoint_union,
                     find_with_at_most_k, generate, iter_valid_labelings,
                     solve_min_distinct, verify)
-from latlab.solver import SearchMode, _Search, _slot_order
+from latlab.solver import SearchMode, _Search, _slot_model, _slot_order
 
 QUICK = SolveBudget(max_nodes=50_000_000, max_millis=120_000)
 
@@ -136,7 +139,7 @@ class TestSolve:
     def test_closed_search_without_labeling_is_a_bug(self, monkeypatch):
         # every graph has a local antimagic total labeling, so a search that
         # closes without one is a solver fault, not an "infeasible" answer
-        monkeypatch.setattr(_Search, "search", lambda self, on_solution: None)
+        monkeypatch.setattr(_Search, "labelings", lambda self: iter(()))
         with pytest.raises(IntegrityError, match="found no labeling"):
             solve_min_distinct(fam("cycle", 4), "total", QUICK)
         assert solve_min_distinct(fam("complete", 2), "edge", QUICK).status == "infeasible"
@@ -160,6 +163,17 @@ class TestSolve:
         assert checked == {"total": 45, "edge": 273}[mode]
         assert mismatches == []
 
+    def test_weight_counts_sized_by_the_heaviest_vertex(self):
+        # 20,000 slots: counts sized by n(n+1)/2 would take 2*10^8 entries
+        res = solve_min_distinct(fam("empty", 20_000), "total", QUICK)
+        assert (res.status, res.value) == ("exact", 20_000)
+
+    def test_weight_table_too_large_is_refused(self):
+        # the hub of W4000 can weigh 40,014,001: a count for every weight up
+        # to there would take 320 MB
+        with pytest.raises(TooLargeError, match="weight table"):
+            solve_min_distinct(fam("wheel", 4000), "total", QUICK)
+
     def test_edge_mode_lower_bound_beyond_exact_coloring_order(self):
         # C4 plus 13 isolated vertices: 17 vertices, above the exact-coloring
         # order.  The isolated vertices all weigh 0 in edge mode, so their
@@ -182,6 +196,12 @@ class TestFindWithAtMostK:
     def test_p7_at_2(self):
         res = find_with_at_most_k(fam("path", 7), 2, "total", QUICK)
         assert res.status == "found"
+
+    def test_deeper_than_the_recursion_limit(self):
+        g = fam("path", 600)
+        assert g.p + g.q > sys.getrecursionlimit()
+        res = find_with_at_most_k(g, 600, "total", QUICK)
+        assert res.status == "found" and verify(g, res.certificate).valid
 
     def test_unknown_on_tiny_budget(self):
         res = find_with_at_most_k(fam("cycle", 7), 2, "total", SolveBudget(max_nodes=5))
@@ -270,9 +290,51 @@ class TestIterValidLabelings:
         for lab in labs:
             assert verify(k4, lab).valid
 
+    def test_budget_stop_is_reported(self):
+        with pytest.raises(TooLargeError, match="21 nodes with 2 of 50"):
+            iter_valid_labelings(fam("wheel", 5), "total", 50, SolveBudget(max_nodes=20))
+
+    def test_closed_search_returns_every_labeling(self):
+        # K2 in total mode: all 3! labelings are valid
+        assert len(iter_valid_labelings(fam("complete", 2), "total", 50)) == 6
+
+
+def greedy_slot_order(g, mode):
+    """The slot order by a full scan of every slot per placement: the
+    reference for the heap in `_slot_order`."""
+    n, vslots, touches = _slot_model(g, mode)
+    need = [len(s) for s in vslots]
+    placed = [False] * n
+    order = []
+    for _ in range(n):
+        best_s, best_key = None, None
+        for s in range(n):
+            if placed[s]:
+                continue
+            completes = sum(1 for v in touches[s] if need[v] == 1)
+            closeness = min((need[v] - 1 for v in touches[s]), default=n + 1)
+            key = (-completes, closeness, s)
+            if best_key is None or key < best_key:
+                best_s, best_key = s, key
+        placed[best_s] = True
+        order.append(best_s)
+        for v in touches[best_s]:
+            need[v] -= 1
+    return order
+
 
 def test_slot_order_is_a_permutation():
-    for g in CONNECTED_SMALL.values():
+    # and the heap orders the slots as the full scan does, on every graph
+    # of the atlas (up to 7 vertices) and on larger ones
+    nx = pytest.importorskip("networkx")
+    atlas = [Graph.from_edges(G.number_of_nodes(), G.edges()) for G in nx.graph_atlas_g()]
+    rng = random.Random(0)
+    larger = [fam("wheel", 30), fam("complete", 8), fam("path", 40)] + [
+        Graph.from_edges(n, rng.sample(list(combinations(range(n), 2)), rng.randint(0, 2 * n)))
+        for n in (rng.randint(8, 14) for _ in range(500))]
+    for g in list(CONNECTED_SMALL.values()) + atlas + larger:
         for mode in (SearchMode.TOTAL, SearchMode.EDGE):
             n = g.p + g.q if mode is SearchMode.TOTAL else g.q
-            assert sorted(_slot_order(g, mode)) == list(range(n))
+            order = _slot_order(g, mode)
+            assert sorted(order) == list(range(n))
+            assert order == greedy_slot_order(g, mode)
