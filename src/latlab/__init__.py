@@ -15,8 +15,7 @@ from .coloring import chromatic_number
 from .bounds import (BoundsReport, KnownResult, bounds_report, chi_lat_lower_bound,
                      chi_lat_upper_bound_via_cone, known_value)
 from .solver import (FeasibilityResult, SearchMode, SolveBudget, SolveResult,
-                     brute_force_min_distinct, find_with_at_most_k,
-                     iter_valid_labelings, solve_min_distinct)
+                     find_with_at_most_k, iter_valid_labelings, solve_min_distinct)
 from .certificate import (Certificate, export_dot, make_certificate,
                           read_certificate, write_certificate)
 
@@ -26,7 +25,7 @@ __all__ = [
     "LatlabError", "ParameterError", "ParseError", "PreconditionError",
     "SearchMode", "SolveBudget", "SolveResult", "StructureError",
     "TooLargeError", "ValidationError", "VerifyReport", "WeightProfile",
-    "bounds_report", "brute_force_min_distinct", "chi_lat_lower_bound",
+    "bounds_report", "chi_lat_lower_bound",
     "chi_lat_upper_bound_via_cone", "chromatic_number", "cone_to_total",
     "construct_k2_plus_empty", "construct_small_odd_path", "disjoint_union",
     "double_cone_collapse", "export_dot", "find_with_at_most_k", "format_graph",

@@ -24,14 +24,6 @@ class KnownResult:
     status: str  # "theorem" | "conjecture" | "range"
     citation: str
 
-    @property
-    def exact(self) -> bool:
-        return self.low == self.high
-
-    @property
-    def value(self) -> Optional[int]:
-        return self.low if self.exact else None
-
 
 @dataclass(frozen=True)
 class BoundsReport:
@@ -184,12 +176,13 @@ def _bipartite_value(a: int, b: int) -> Optional[KnownResult]:
 
 
 def bounds_report(g: Graph, family: Optional[FamilySpec] = None,
-                  budget=None, use_cone: bool = False) -> BoundsReport:
+                  budget=None) -> BoundsReport:
     """Combined bounds for chi_lat of g.
 
     The upper bound comes from the known table when a family is given and
-    the table has a theorem entry, else from the cone solver when enabled,
-    else from the trivial bound p (every graph has some valid labeling).
+    the table has a theorem entry, else from the cone solver when a budget
+    is given, else from the trivial bound p (every graph has some valid
+    labeling).
     """
     chrom = chromatic_lower_bound(g)
     isolated = len(g.isolated_vertices())
@@ -207,7 +200,7 @@ def bounds_report(g: Graph, family: Optional[FamilySpec] = None,
                 upper = kr.high
                 source = "known-table"
 
-    if upper is None and use_cone:
+    if upper is None and budget is not None:
         cone = chi_lat_upper_bound_via_cone(g, budget)
         if cone is not None:
             upper = cone.value

@@ -198,7 +198,7 @@ def cmd_export_dot(args) -> int:
 def cmd_bounds(args) -> int:
     g, spec = _load_graph(args)
     budget = _budget_from_args(args) if args.cone else None
-    report = bounds_report(g, family=spec, budget=budget, use_cone=args.cone)
+    report = bounds_report(g, family=spec, budget=budget)
     payload = {
         "chromatic": report.chromatic,
         "isolated": report.isolated_count,

@@ -1,10 +1,7 @@
 """Exact minimum-distinct-weight computation.
 
-Two independent routes to the same quantity:
-  * brute_force_min_distinct enumerates every bijection (numpy-chunked) and
-    serves as the oracle for small label universes.
-  * solve_min_distinct / find_with_at_most_k run a pruned backtracking
-    search over label slots and scale further.
+solve_min_distinct / find_with_at_most_k run a pruned backtracking search
+over label slots; iter_valid_labelings lists labelings in its order.
 """
 
 from __future__ import annotations
@@ -14,7 +11,6 @@ import sys
 import time
 from dataclasses import dataclass
 from enum import Enum
-from itertools import islice, permutations
 from typing import Optional
 
 from .bounds import chi_lat_lower_bound
@@ -23,7 +19,6 @@ from .errors import IntegrityError, ParameterError, TooLargeError
 from .graph import FamilySpec, Graph
 from .labeling import Labeling, check
 
-BRUTE_FORCE_UNIVERSE_LIMIT = 10
 _WEIGHT_TABLE_LIMIT = 10_000_000  # 80 MB of per-weight counts
 
 
@@ -158,6 +153,9 @@ class _Search:
 
     def __init__(self, g: Graph, mode: SearchMode, budget: SolveBudget,
                  family: Optional[FamilySpec] = None, pruning: bool = True):
+        # the time budget covers set-up, slot ordering included
+        self.deadline = (time.monotonic() + budget.max_millis / 1000.0
+                         if budget.max_millis is not None else None)
         n, vslots, touches = _slot_model(g, mode)
         self.n = n
         # a vertex fed by r slots weighs at most the sum of the r largest labels
@@ -178,8 +176,6 @@ class _Search:
         self.pruning = pruning
         self.allowed = g.p  # max distinct weights tolerated in this search
         self.max_nodes = budget.max_nodes
-        self.deadline = (time.monotonic() + budget.max_millis / 1000.0
-                         if budget.max_millis is not None else None)
 
         # the orbit representative (earlier in the order) keeps the orbit's
         # smallest label: a slot of orbit_rest starts above assign[star]
@@ -317,29 +313,22 @@ def solve_min_distinct(g: Graph, mode: SearchMode, budget: SolveBudget = GENEROU
 
 def find_with_at_most_k(g: Graph, k: int, mode: SearchMode,
                         budget: SolveBudget = GENEROUS_BUDGET,
-                        family: Optional[FamilySpec] = None,
-                        accept=None) -> FeasibilityResult:
+                        family: Optional[FamilySpec] = None) -> FeasibilityResult:
     """Find any valid labeling with at most k distinct weights.
 
     Distinguishes found / definitively-none / unknown (budget ran out).
-    An optional `accept(labeling)` predicate restricts which witnesses
-    count (e.g. require some edge to carry label 1).  The family symmetry
-    orbit is not used with `accept`: the predicate need not be invariant
-    under the orbit, so pruning symmetric labelings could hide every
-    accepted one and turn "found" into a false "none".
     """
     if k < 1:
         raise ParameterError(f"k must be >= 1, got {k}")
     mode = SearchMode(mode)
     if mode is SearchMode.EDGE and _has_isolated_edge(g):
         return FeasibilityResult("none")
-    srch = _Search(g, mode, budget, family=family if accept is None else None)
+    srch = _Search(g, mode, budget, family=family)
     srch.allowed = k
     for _ in srch.labelings():
         cert = _labeling_from_assignment(g, mode, srch.assign)
-        if accept is None or accept(cert):
-            _check_witness(g, cert, None)
-            return FeasibilityResult("found", cert, srch.nodes)
+        _check_witness(g, cert, None)
+        return FeasibilityResult("found", cert, srch.nodes)
     return FeasibilityResult("unknown" if srch.cut else "none", nodes_explored=srch.nodes)
 
 
@@ -367,62 +356,3 @@ def _check_witness(g: Graph, cert: Labeling, value):
     if value is not None and report.profile.distinct_count != value:
         raise IntegrityError(f"solver witness has {report.profile.distinct_count} "
                              f"distinct weights, not the claimed {value}")
-
-
-# ---------------------------------------------------------------------------
-# Brute-force oracle
-
-def brute_force_min_distinct(g: Graph, mode: SearchMode) -> SolveResult:
-    """Enumerate every bijection of the label universe (numpy-chunked).
-
-    Independent of the backtracking route; used as the oracle on small
-    instances.  Refuses universes larger than 10.
-    """
-    import numpy as np
-
-    mode = SearchMode(mode)
-    n, vslots, _ = _slot_model(g, mode)
-    if n > BRUTE_FORCE_UNIVERSE_LIMIT:
-        raise TooLargeError(
-            f"label universe {n} exceeds brute-force limit {BRUTE_FORCE_UNIVERSE_LIMIT}")
-    if g.p == 0:
-        return SolveResult("exact", value=0, lower=0, upper=0,
-                           certificate=_labeling_from_assignment(g, mode, []))
-
-    best = None
-    best_perm = None
-    count = 0
-    chunk_size = 120_000
-    perms = permutations(range(1, n + 1))
-    while True:
-        chunk = list(islice(perms, chunk_size))
-        if not chunk:
-            break
-        count += len(chunk)
-        arr = np.array(chunk, dtype=np.int64).reshape(len(chunk), n)
-        wcols = np.zeros((len(chunk), g.p), dtype=np.int64)
-        for v in range(g.p):
-            if vslots[v]:
-                wcols[:, v] = arr[:, list(vslots[v])].sum(axis=1)
-        valid = np.ones(len(chunk), dtype=bool)
-        for u, v in g.edges:
-            valid &= wcols[:, u] != wcols[:, v]
-        if not valid.any():
-            continue
-        wv = wcols[valid]
-        if g.p > 1:
-            sw = np.sort(wv, axis=1)
-            distinct = 1 + (np.diff(sw, axis=1) != 0).sum(axis=1)
-        else:
-            distinct = np.ones(wv.shape[0], dtype=np.int64)
-        i = int(distinct.argmin())
-        if best is None or int(distinct[i]) < best:
-            best = int(distinct[i])
-            best_perm = [chunk[j] for j in np.nonzero(valid)[0][i:i + 1]][0]
-
-    if best is None:
-        return SolveResult("infeasible", nodes_explored=count)
-    cert = _labeling_from_assignment(g, mode, list(best_perm))
-    _check_witness(g, cert, best)
-    return SolveResult("exact", value=best, lower=best, upper=best,
-                       certificate=cert, nodes_explored=count)

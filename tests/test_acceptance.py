@@ -10,13 +10,14 @@ import time
 import pytest
 
 from latlab import (FamilySpec, Graph, Labeling, SolveBudget,
-                    brute_force_min_distinct, chi_lat_lower_bound, cone_to_total,
+                    chi_lat_lower_bound, cone_to_total,
                     construct_k2_plus_empty, construct_small_odd_path,
                     double_cone_collapse, find_with_at_most_k,
                     generate, iter_valid_labelings, make_certificate,
                     path_from_cycle, read_certificate, solve_min_distinct,
                     total_to_cone, verify, write_certificate)
 from latlab.solver import SearchMode
+from oracle import brute_force_min_distinct
 
 BUDGET_10S = SolveBudget(max_millis=10_000, max_nodes=100_000_000)
 BUDGET_60S = SolveBudget(max_millis=60_000, max_nodes=200_000_000)

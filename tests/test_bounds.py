@@ -142,10 +142,10 @@ class TestBoundsReport:
         assert any("conjecture" in note for note in report.notes)
 
     def test_cone_source(self):
-        report = bounds_report(fam("path", 2), budget=QUICK, use_cone=True)
+        report = bounds_report(fam("path", 2), budget=QUICK)
         assert report.upper == 2 and report.upper_source == "cone-solver"
 
     def test_trivial_fallback(self):
-        report = bounds_report(Graph(1, ()), use_cone=True, budget=QUICK)
+        report = bounds_report(Graph(1, ()), budget=QUICK)
         assert report.upper == 1 and report.upper_source == "trivial"
         assert report.lower == 1

@@ -53,13 +53,12 @@ class TestSmallOddPath:
 
 
 def _c6_labeling_with_edge_one():
-    """Solver-found valid 2-weight labeling of C6 containing an edge labeled 1."""
-    from latlab import find_with_at_most_k
+    """A valid 2-weight total labeling of C6 with an edge labeled 1."""
     c6 = generate(FamilySpec("cycle", (6,)))
-    res = find_with_at_most_k(c6, 2, "total", family=FamilySpec("cycle", (6,)),
-                              accept=lambda f: 1 in f.edge_labels)
-    assert res.status == "found"
-    return c6, res.certificate
+    f = Labeling((2, 12, 7, 10, 9, 8), (3, 11, 5, 4, 6, 1))
+    report = verify(c6, f)
+    assert report.valid and report.profile.distinct_count == 2
+    return c6, f
 
 
 class TestPathFromCycle:

@@ -61,3 +61,20 @@ def test_no_recursion_in_the_solver():
              if isinstance(node, ast.Call)
              and fn.name == getattr(node.func, "id", getattr(node.func, "attr", None))]
     assert not found, f"solver.py functions call themselves: {found}"
+
+
+def test_package_imports_only_the_standard_library():
+    # latlab has no runtime dependencies; function-level imports count too
+    allowed = set(sys.stdlib_module_names) | {"latlab"}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}: {name}" for name in names
+                      if name.split(".")[0] not in allowed]
+    assert not found, f"imports outside the standard library: {found}"

@@ -1,16 +1,18 @@
 import json
 import random
 import sys
+import time
 from itertools import combinations
 from pathlib import Path
 
 import pytest
 
 from latlab import (FamilySpec, Graph, IntegrityError, Labeling, ParameterError,
-                    SolveBudget, TooLargeError, brute_force_min_distinct, disjoint_union,
-                    find_with_at_most_k, generate, iter_valid_labelings,
-                    solve_min_distinct, verify)
+                    SolveBudget, TooLargeError, disjoint_union, find_with_at_most_k,
+                    generate, iter_valid_labelings, solve_min_distinct, verify)
+from latlab import solver
 from latlab.solver import SearchMode, _Search, _slot_model, _slot_order
+from oracle import brute_force_min_distinct
 
 QUICK = SolveBudget(max_nodes=50_000_000, max_millis=120_000)
 
@@ -211,20 +213,18 @@ class TestFindWithAtMostK:
         with pytest.raises(ParameterError):
             find_with_at_most_k(fam("cycle", 3), 0, "total", QUICK)
 
-    def test_accept_is_sound_with_family_symmetry(self):
-        # the cycle orbit keeps the smallest edge label on one edge; a
-        # predicate pinning edge 0 to 8 is not invariant under rotation, so
-        # orbit pruning must not apply or the answer becomes a false "none"
-        c4 = fam("cycle", 4)
+    def test_time_budget_covers_slot_ordering(self, monkeypatch):
+        # slot ordering that outlasts the budget leaves the search only
+        # its first deadline check, after 1,024 nodes
+        slot_order = solver._slot_order
 
-        def accept(lab):
-            return lab.edge_labels[0] == 8 and lab.vertex_labels[0] == 1
+        def slow_slot_order(g, mode):
+            time.sleep(0.1)
+            return slot_order(g, mode)
 
-        plain = find_with_at_most_k(c4, 3, "total", QUICK, accept=accept)
-        tagged = find_with_at_most_k(c4, 3, "total", QUICK,
-                                     family=FamilySpec("cycle", (4,)), accept=accept)
-        assert plain.status == tagged.status == "found"
-        assert accept(tagged.certificate)
+        monkeypatch.setattr(solver, "_slot_order", slow_slot_order)
+        res = find_with_at_most_k(fam("cycle", 5), 2, "total", SolveBudget(max_millis=50))
+        assert (res.status, res.nodes_explored) == ("unknown", 1_024)
 
 
 class TestSearchTree:
