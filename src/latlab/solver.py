@@ -78,14 +78,16 @@ def _slot_model(g: Graph, mode: SearchMode):
     return n, vslots, [tuple(t) for t in touches]
 
 
-def _slot_order(g: Graph, mode: SearchMode):
+def _slot_order(g: Graph, mode: SearchMode, deadline: Optional[float] = None):
     """Static slot order: complete vertex weights as early as possible.
 
     Greedy: pick the slot finishing the most vertices; tie-break by how
     close it brings its nearest vertex to completion, then by slot index.
     Keys only fall as slots are placed, so a heap that gets each slot's
     new key when it changes pops the same slot as a full scan; a slot's
-    older keys are larger and pop after it is placed.
+    older keys are larger and pop after it is placed.  Past `deadline`
+    (checked every 1,024 placements) the unplaced slots follow in index
+    order.
     """
     n, vslots, touches = _slot_model(g, mode)
     need = [len(s) for s in vslots]
@@ -106,6 +108,8 @@ def _slot_order(g: Graph, mode: SearchMode):
             continue
         placed[s] = True
         order.append(s)
+        if deadline is not None and not len(order) & 1023 and time.monotonic() > deadline:
+            return order + [t for t in range(n) if not placed[t]]
         for v in touches[s]:
             need[v] -= 1
             for t in vslots[v]:
@@ -165,7 +169,7 @@ class _Search:
             raise TooLargeError(f"vertex weights up to {heaviest} exceed the "
                                 f"weight table limit {_WEIGHT_TABLE_LIMIT}")
         self.wcount = [0] * (heaviest + 1)  # vertices per weight
-        order = _slot_order(g, mode)
+        order = _slot_order(g, mode, self.deadline)
         self.assign = [0] * n
         self.wpart = [0] * g.p
         # vertices with no contributing slots (isolated, edge mode) weigh 0
@@ -194,13 +198,19 @@ class _Search:
                           if at[u] < d or (at[u] == d and u < v))
             self.steps.append((s, touches[s], done, pairs,
                                star if s in orbit_rest else None))
+        if self.deadline is not None and time.monotonic() > self.deadline:
+            self.cut = True  # set-up outlasted the budget: search no node
 
     def labelings(self):
         """Yield the distinct-weight count of every complete labeling, in
         ascending label order, leaving the labeling in `assign` until
         resumed; `allowed` is read again after each yield.  Each free label
         tried at a slot counts one node; `cut` is set when the budget stops
-        the search."""
+        the search.  With pruning, a label that would add a weight past
+        `allowed` is refused by one `wcount` read, unapplied, and still
+        counts its node, so the tree is that of applying it."""
+        if self.cut:
+            return
         n, steps, assign, wpart, wcount = (self.n, self.steps, self.assign,
                                            self.wpart, self.wcount)
         pruning, allowed, distinct = self.pruning, self.allowed, self.distinct
@@ -224,6 +234,17 @@ class _Search:
                     while label <= floor:
                         label = nxt[label]
             while True:  # try labels from `label` up; out of labels, back up
+                if done and distinct >= allowed and pruning:
+                    # a label giving done[0] a weight no vertex has yet would
+                    # add one weight too many: refuse it unapplied
+                    base = wpart[done[0]]
+                    while label <= n and (distinct > allowed or not wcount[base + label]):
+                        nodes += 1
+                        if nodes > limit or (deadline is not None and not nodes & 1023
+                                             and monotonic() > deadline):
+                            self.nodes, self.cut = nodes, True
+                            return
+                        label = nxt[label]
                 if label > n:
                     if depth == 0:
                         self.nodes = nodes

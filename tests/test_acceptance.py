@@ -183,7 +183,7 @@ def test_criterion_09_even_wheel():
     chi_lat(W4) = 3."""
     w4 = fam("wheel", 4)
     res = find_with_at_most_k(w4, 3, "total", BUDGET_10M)
-    assert res.status == "found"
+    assert (res.status, res.nodes_explored) == ("found", 17_499_167)
     rep = verify(w4, res.certificate)
     assert rep.valid and rep.profile.distinct_count <= 3
     assert chi_lat_lower_bound(w4) == 3
@@ -198,6 +198,7 @@ def test_criterion_10_p9_conjecture_evidence():
         "SEARCH CLOSED WITH NO 2-WEIGHT LABELING OF P9 - this contradicts "
         "the odd-path conjecture and must be investigated")
     if res.status == "found":
+        assert res.nodes_explored == 6_528_718
         rep = verify(fam("path", 9), res.certificate)
         assert rep.valid and rep.profile.distinct_count == 2
     report(10, f"P9 at k=2: {res.status}")

@@ -214,24 +214,39 @@ class TestFindWithAtMostK:
             find_with_at_most_k(fam("cycle", 3), 0, "total", QUICK)
 
     def test_time_budget_covers_slot_ordering(self, monkeypatch):
-        # slot ordering that outlasts the budget leaves the search only
-        # its first deadline check, after 1,024 nodes
+        # set-up that outlasts the budget leaves no time for a single node
         slot_order = solver._slot_order
 
-        def slow_slot_order(g, mode):
+        def slow_slot_order(g, mode, deadline):
             time.sleep(0.1)
-            return slot_order(g, mode)
+            return slot_order(g, mode, deadline)
 
         monkeypatch.setattr(solver, "_slot_order", slow_slot_order)
         res = find_with_at_most_k(fam("cycle", 5), 2, "total", SolveBudget(max_millis=50))
-        assert (res.status, res.nodes_explored) == ("unknown", 1_024)
+        assert (res.status, res.nodes_explored) == ("unknown", 0)
+        res = solve_min_distinct(fam("cycle", 5), "total", SolveBudget(max_millis=50))
+        assert (res.status, res.nodes_explored) == ("exhausted", 0)
+
+    def test_slot_ordering_stops_at_the_deadline(self):
+        # ordering the 1,830 slots of K60 takes far longer than 1 ms
+        res = find_with_at_most_k(fam("complete", 60), 60, "total", SolveBudget(max_millis=1))
+        assert (res.status, res.nodes_explored) == ("unknown", 0)
+        # a passed deadline stops the ordering at its first check and
+        # leaves the unplaced slots in index order
+        p600 = fam("path", 600)
+        order = _slot_order(p600, SearchMode.TOTAL, time.monotonic())
+        assert order[:1_024] == _slot_order(p600, SearchMode.TOTAL)[:1_024]
+        assert order[1_024:] == sorted(set(range(600 + 599)) - set(order[:1_024]))
 
 
 class TestSearchTree:
     """The search tree is pinned: labels tried in ascending order, one node
     per free label tried, the budget checked before the weight conflict.
-    The counts and witnesses below are those of the original per-node
-    method search, so a faster search core must reproduce them exactly."""
+    A label that would add a weight past the allowed count is refused by
+    one weight-table read instead of being applied, and still counts one
+    node.  The counts and witnesses below are those of the original
+    per-node method search, so a faster search core must reproduce them
+    exactly."""
 
     def test_c5_total_at_2_none(self):
         res = find_with_at_most_k(fam("cycle", 5), 2, "total", QUICK)
