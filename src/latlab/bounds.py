@@ -8,16 +8,14 @@ the cone K1∨G in edge mode and transfers the certificate down.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from .coloring import chromatic_lower_bound
 from .graph import FamilySpec, Graph, join
 from .labeling import Labeling
 
 
-@dataclass(frozen=True)
-class KnownResult:
+class KnownResult(NamedTuple):
     quantity: str  # "chi_lat" | "chi_la"
     low: int
     high: int
@@ -25,8 +23,7 @@ class KnownResult:
     citation: str
 
 
-@dataclass(frozen=True)
-class BoundsReport:
+class BoundsReport(NamedTuple):
     chromatic: int  # a clique bound above the exact-coloring order
     isolated_count: int
     lower: int
@@ -35,8 +32,7 @@ class BoundsReport:
     notes: Tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class ConeUpperBound:
+class ConeUpperBound(NamedTuple):
     value: int
     exact: bool
     base_graph: Graph

@@ -12,15 +12,15 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 import time
 from pathlib import Path
 from typing import Optional
 
+from .budget import SolveBudget
 from .certificate import certificate_from_dict
+from .errors import LatlabError
 from .graph import Graph
 from .labeling import verify
-from .solver import SolveBudget
 
 CACHE_ENV_VAR = "LATLAB_CACHE_DIR"
 
@@ -76,7 +76,7 @@ def load_entry(directory: Path, g: Graph, mode: str,
 def store_entry(directory: Path, g: Graph, mode: str, status: str,
                 value=None, lower=None, upper=None, certificate_doc=None,
                 budget: Optional[SolveBudget] = None):
-    directory.mkdir(parents=True, exist_ok=True)
+    import tempfile  # only a miss writes: a cache hit does not load it
     entry = {
         "key_graph": {"p": g.p, "edges": [list(e) for e in g.edges]},
         "mode": mode,
@@ -90,12 +90,17 @@ def store_entry(directory: Path, g: Graph, mode: str, status: str,
         "timestamp": time.time(),
     }
     path = directory / (cache_key(g, mode) + ".json")
-    # renamed into place: a reader sees the old entry or the new, never a partial one
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=path.name, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(json.dumps(entry, indent=2, sort_keys=True) + "\n")
-        os.replace(tmp, path)
-    finally:
-        Path(tmp).unlink(missing_ok=True)
+        directory.mkdir(parents=True, exist_ok=True)
+        # renamed into place: a reader sees the old entry or the new, never a partial one
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=path.name, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w") as fh:
+                fh.write(json.dumps(entry, indent=2, sort_keys=True) + "\n")
+            os.replace(tmp, path)
+        finally:
+            Path(tmp).unlink(missing_ok=True)
+    except OSError as exc:
+        raise LatlabError(f"cannot write cache directory {directory}: "
+                          f"{exc.strerror or exc}") from exc
     return entry

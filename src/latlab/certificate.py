@@ -9,8 +9,8 @@ JSON path) and re-verifies.  Unknown top-level fields survive a rewrite.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from types import MappingProxyType
+from typing import Mapping, NamedTuple, Optional, Tuple
 
 from . import __version__
 from .errors import CertificateError, IntegrityError, ParseError, ValidationError
@@ -23,15 +23,14 @@ _KNOWN_FIELDS = {"format", "graph", "mode", "vertex_labels", "edge_labels",
                  "weights", "distinct", "provenance", "citation"}
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     graph: Graph
     labeling: Labeling
     weights: Tuple[int, ...]
     distinct: int
-    provenance: dict = field(default_factory=dict)
+    provenance: Mapping = MappingProxyType({})  # read-only, so a shared default is safe
     citation: Optional[str] = None
-    extra: dict = field(default_factory=dict)
+    extra: Mapping = MappingProxyType({})
 
 
 def make_certificate(g: Graph, labeling: Labeling, producer: str,
@@ -56,7 +55,7 @@ def certificate_to_dict(cert: Certificate) -> dict:
     doc["edge_labels"] = list(cert.labeling.edge_labels)
     doc["weights"] = list(cert.weights)
     doc["distinct"] = cert.distinct
-    doc["provenance"] = cert.provenance
+    doc["provenance"] = dict(cert.provenance)
     if cert.citation is not None:
         doc["citation"] = cert.citation
     return doc

@@ -2,6 +2,8 @@
 
 Exit codes: 0 success/valid, 1 internal error, 2 invalid input,
 3 infeasible / definitively-none, 4 budget exhausted.
+
+Each subcommand imports its own modules: `verify` never loads the solver.
 """
 
 from __future__ import annotations
@@ -10,17 +12,8 @@ import argparse
 import json
 import sys
 
-from .bounds import bounds_report, known_value
-from .cache import cache_dir, load_entry, store_entry
-from .certificate import (certificate_to_dict, export_dot, make_certificate,
-                          read_certificate, write_certificate)
-from .constructions import construct_k2_plus_empty, construct_small_odd_path
 from .errors import LatlabError, ParameterError, ParseError
 from .graph import FamilySpec, format_graph, generate, graph6_decode, parse_graph
-from .labeling import verify
-from .solver import (SearchMode, SolveBudget, find_with_at_most_k,
-                     solve_min_distinct)
-from .transforms import cone_to_total, double_cone_collapse, total_to_cone
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -53,7 +46,8 @@ def _emit(text: str, out_path=None):
         sys.stdout.write(text)
 
 
-def _budget_from_args(args) -> SolveBudget:
+def _budget_from_args(args):
+    from .budget import SolveBudget
     return SolveBudget(max_nodes=args.max_nodes, max_millis=args.max_millis)
 
 
@@ -83,6 +77,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .certificate import read_certificate
+    from .labeling import verify
     cert = read_certificate(_read_source(args.certificate))
     report = verify(cert.graph, cert.labeling)
     payload = {
@@ -114,8 +110,10 @@ def _solve_payload(res):
 
 
 def cmd_solve(args) -> int:
+    from .certificate import certificate_to_dict, make_certificate, write_certificate
+    from .solver import find_with_at_most_k, solve_min_distinct
     g, spec = _load_graph(args)
-    mode = SearchMode(args.mode)
+    mode = args.mode
     budget = _budget_from_args(args)
 
     if args.k is not None:
@@ -147,6 +145,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_construct(args) -> int:
+    from .certificate import make_certificate, write_certificate
+    from .constructions import construct_k2_plus_empty, construct_small_odd_path
     name = args.name.replace("-", "_")
     if name == "k2_plus_empty":
         g, f = construct_k2_plus_empty(args.n)
@@ -164,6 +164,8 @@ def cmd_construct(args) -> int:
 
 
 def cmd_transform(args) -> int:
+    from .certificate import make_certificate, read_certificate, write_certificate
+    from .transforms import cone_to_total, double_cone_collapse, total_to_cone
     cert = read_certificate(_read_source(args.certificate))
     if args.kind == "cone-to-total":
         apex = args.apex if args.apex is not None else cert.graph.p - 1
@@ -190,12 +192,14 @@ def cmd_transform(args) -> int:
 
 
 def cmd_export_dot(args) -> int:
+    from .certificate import export_dot, read_certificate
     cert = read_certificate(_read_source(args.certificate))
     _emit(export_dot(cert), args.out)
     return EXIT_OK
 
 
 def cmd_bounds(args) -> int:
+    from .bounds import bounds_report, known_value
     g, spec = _load_graph(args)
     budget = _budget_from_args(args) if args.cone else None
     report = bounds_report(g, family=spec, budget=budget)
@@ -222,8 +226,10 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_atlas(args) -> int:
+    from .cache import cache_dir, load_entry, store_entry
+    from .certificate import certificate_to_dict, make_certificate
     text = _read_source(args.input)
-    mode = SearchMode(args.mode)
+    mode = args.mode
     budget = _budget_from_args(args)
     directory = cache_dir()
     out_lines = []
@@ -232,17 +238,18 @@ def cmd_atlas(args) -> int:
         if not line:
             continue
         g = graph6_decode(line)
-        entry = load_entry(directory, g, mode.value, budget) if directory else None
+        entry = load_entry(directory, g, mode, budget) if directory else None
         if entry is None:
+            from .solver import solve_min_distinct  # a miss: only now load the search
             res = solve_min_distinct(g, mode, budget)
             cert_doc = None
             if res.certificate is not None and res.status in ("exact", "lower_upper"):
                 cert_doc = certificate_to_dict(
                     make_certificate(g, res.certificate, "solver:branch-and-bound"))
-            entry = {"mode": mode.value, "status": res.status, "value": res.value,
+            entry = {"mode": mode, "status": res.status, "value": res.value,
                      "lower": res.lower, "upper": res.upper, "certificate": cert_doc}
             if directory:
-                entry = store_entry(directory, g, mode.value, res.status,
+                entry = store_entry(directory, g, mode, res.status,
                                     value=res.value, lower=res.lower,
                                     upper=res.upper, certificate_doc=cert_doc,
                                     budget=budget)

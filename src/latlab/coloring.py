@@ -23,13 +23,17 @@ def _greedy_upper(g: Graph) -> int:
 
 
 def _greedy_clique(g: Graph) -> int:
+    """Largest clique grown from each seed: its neighbours, by falling degree,
+    join while in `cand`, the common neighbours of the members so far."""
+    adj = [frozenset(g.neighbors(v)) for v in range(g.p)]
     best = 1 if g.p else 0
     for seed in range(g.p):
-        clique = [seed]
+        size, cand = 1, adj[seed]
         for v in sorted(g.neighbors(seed), key=lambda v: -g.degree(v)):
-            if all(g.has_edge(v, u) for u in clique):
-                clique.append(v)
-        best = max(best, len(clique))
+            if v in cand:
+                size += 1
+                cand = cand & adj[v]
+        best = max(best, size)
     return best
 
 

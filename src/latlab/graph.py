@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Tuple
 
 from .errors import ParameterError, ParseError, ValidationError
@@ -10,8 +9,40 @@ from .errors import ParameterError, ParseError, ValidationError
 Edge = Tuple[int, int]
 
 
-@dataclass(frozen=True)
-class Graph:
+class Frozen:
+    """A value type: `__init__` validates, then sets the slots once through
+    `_init`.  Equality, hash, repr and pickling go by `_fields`."""
+
+    __slots__ = ()
+    _fields: Tuple[str, ...] = ()
+
+    def _init(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({args})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class Graph(Frozen):
     """A finite simple undirected graph with canonical edge ordering.
 
     Edges are stored with endpoints ascending and the list sorted
@@ -19,30 +50,29 @@ class Graph:
     reproducible.  Instances are immutable after construction.
     """
 
-    p: int
-    edges: Tuple[Edge, ...]
+    __slots__ = ("p", "edges", "_adj", "_incident")
+    _fields = ("p", "edges")
 
-    def __post_init__(self):
-        if self.p < 0:
+    def __init__(self, p: int, edges: Tuple[Edge, ...]):
+        if p < 0:
             raise ValidationError("vertex count must be nonnegative")
         prev = None
-        for u, v in self.edges:
+        for u, v in edges:
             if u == v:
                 raise ValidationError(f"self-loop at vertex {u}")
-            if not (0 <= u < v < self.p):
-                raise ValidationError(f"edge ({u},{v}) out of canonical form or range for p={self.p}")
+            if not (0 <= u < v < p):
+                raise ValidationError(f"edge ({u},{v}) out of canonical form or range for p={p}")
             if prev is not None and (u, v) <= prev:
                 raise ValidationError(f"edge list not sorted/duplicate at ({u},{v})")
             prev = (u, v)
-        adj = [[] for _ in range(self.p)]
-        incident = [[] for _ in range(self.p)]
-        for e, (u, v) in enumerate(self.edges):
+        adj = [[] for _ in range(p)]
+        incident = [[] for _ in range(p)]
+        for e, (u, v) in enumerate(edges):
             adj[u].append(v)
             adj[v].append(u)
             incident[u].append(e)
             incident[v].append(e)
-        object.__setattr__(self, "_adj", tuple(tuple(a) for a in adj))
-        object.__setattr__(self, "_incident", tuple(tuple(i) for i in incident))
+        self._init(p, edges, tuple(map(tuple, adj)), tuple(map(tuple, incident)))
 
     @classmethod
     def from_edges(cls, p: int, edges: Iterable[Edge]) -> "Graph":
@@ -115,20 +145,17 @@ _FAMILY_ARITY = {
 }
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(Frozen):
     """A named graph family instance (cycle, wheel, fan, ...)."""
 
-    kind: str
-    params: Tuple[int, ...]
+    __slots__ = _fields = ("kind", "params")
 
-    def __post_init__(self):
-        kind = self.kind
+    def __init__(self, kind: str, params: Tuple[int, ...]):
         if kind not in _FAMILY_ARITY:
             raise ParameterError(f"unknown family {kind!r}; one of {sorted(_FAMILY_ARITY)}")
-        if len(self.params) != _FAMILY_ARITY[kind]:
+        if len(params) != _FAMILY_ARITY[kind]:
             raise ParameterError(f"family {kind} takes {_FAMILY_ARITY[kind]} parameter(s)")
-        n = self.params[0]
+        n = params[0]
         if kind in ("empty", "complete", "k2_plus_empty") and n < 0:
             raise ParameterError(f"{kind} requires n >= 0, got {n}")
         if kind == "path" and n < 1:
@@ -137,12 +164,13 @@ class FamilySpec:
             raise ParameterError(f"{kind} requires n >= 3, got {n}")
         if kind == "fan" and n < 1:
             raise ParameterError(f"fan requires n >= 1, got {n}")
-        if kind == "complete_bipartite" and (self.params[0] < 0 or self.params[1] < 0):
+        if kind == "complete_bipartite" and (params[0] < 0 or params[1] < 0):
             raise ParameterError("complete_bipartite requires nonnegative part sizes")
-        if kind == "join_complete_cycle" and (self.params[0] < 0 or self.params[1] < 3):
+        if kind == "join_complete_cycle" and (params[0] < 0 or params[1] < 3):
             raise ParameterError("join_complete_cycle requires m >= 0 and cycle length n >= 3")
-        if kind == "cycle_join_empty" and (self.params[0] < 3 or self.params[1] < 0):
+        if kind == "cycle_join_empty" and (params[0] < 3 or params[1] < 0):
             raise ParameterError("cycle_join_empty requires cycle length p >= 3 and m >= 0")
+        self._init(kind, params)
 
     @classmethod
     def parse(cls, text: str) -> "FamilySpec":

@@ -11,15 +11,13 @@ antimagic when, in addition, adjacent vertices never share a weight.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from .errors import IntegrityError, ValidationError
 from .graph import Graph
 
 
-@dataclass(frozen=True)
-class Labeling:
+class Labeling(NamedTuple):
     vertex_labels: Optional[Tuple[int, ...]]  # None for an edge labeling
     edge_labels: Tuple[int, ...]
 
@@ -33,15 +31,13 @@ class Labeling:
         return (self.vertex_labels or ()) + self.edge_labels
 
 
-@dataclass(frozen=True)
-class WeightProfile:
+class WeightProfile(NamedTuple):
     weights: Tuple[int, ...]
     distinct_count: int
     valid: bool  # all adjacent pairs have distinct weights
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(NamedTuple):
     profile: WeightProfile
     violations: Tuple[int, ...]  # edge ids whose endpoints share a weight
     duplicates: Tuple[int, ...]  # labels used more than once or outside {1, ..., n}

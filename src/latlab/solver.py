@@ -9,11 +9,11 @@ from __future__ import annotations
 import heapq
 import sys
 import time
-from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .bounds import chi_lat_lower_bound
+from .budget import SolveBudget
 from .coloring import chromatic_lower_bound
 from .errors import IntegrityError, ParameterError, TooLargeError
 from .graph import FamilySpec, Graph
@@ -27,24 +27,10 @@ class SearchMode(str, Enum):
     EDGE = "edge"
 
 
-@dataclass(frozen=True)
-class SolveBudget:
-    max_nodes: Optional[int] = None
-    max_millis: Optional[int] = None
-
-    def __post_init__(self):
-        if self.max_nodes is None and self.max_millis is None:
-            raise ParameterError("at least one of max_nodes / max_millis must be set")
-        for limit in (self.max_nodes, self.max_millis):
-            if limit is not None and limit <= 0:
-                raise ParameterError("budget limits must be positive")
-
-
 GENEROUS_BUDGET = SolveBudget(max_nodes=200_000_000, max_millis=600_000)
 
 
-@dataclass(frozen=True)
-class SolveResult:
+class SolveResult(NamedTuple):
     status: str  # "exact" | "lower_upper" | "infeasible" | "exhausted"
     value: Optional[int] = None
     lower: Optional[int] = None
@@ -53,8 +39,7 @@ class SolveResult:
     nodes_explored: int = 0
 
 
-@dataclass(frozen=True)
-class FeasibilityResult:
+class FeasibilityResult(NamedTuple):
     status: str  # "found" | "none" | "unknown"
     certificate: Optional[Labeling] = None
     nodes_explored: int = 0
@@ -198,8 +183,6 @@ class _Search:
                           if at[u] < d or (at[u] == d and u < v))
             self.steps.append((s, touches[s], done, pairs,
                                star if s in orbit_rest else None))
-        if self.deadline is not None and time.monotonic() > self.deadline:
-            self.cut = True  # set-up outlasted the budget: search no node
 
     def labelings(self):
         """Yield the distinct-weight count of every complete labeling, in
@@ -209,7 +192,8 @@ class _Search:
         the search.  With pruning, a label that would add a weight past
         `allowed` is refused by one `wcount` read, unapplied, and still
         counts its node, so the tree is that of applying it."""
-        if self.cut:
+        if self.deadline is not None and time.monotonic() > self.deadline:
+            self.cut = True  # set-up outlasted the budget: search no node
             return
         n, steps, assign, wpart, wcount = (self.n, self.steps, self.assign,
                                            self.wpart, self.wcount)
@@ -305,9 +289,9 @@ def solve_min_distinct(g: Graph, mode: SearchMode, budget: SolveBudget = GENEROU
     mode = SearchMode(mode)
     if mode is SearchMode.EDGE and _has_isolated_edge(g):
         return SolveResult("infeasible")
+    srch = _Search(g, mode, budget, family=family, pruning=pruning)  # starts the clock
     lower = max(1, chi_lat_lower_bound(g) if mode is SearchMode.TOTAL
                 else chromatic_lower_bound(g))
-    srch = _Search(g, mode, budget, family=family, pruning=pruning)
     best = assign = None
     for d in srch.labelings():
         if best is None or d < best:

@@ -89,3 +89,17 @@ def brute_force_min_distinct(g, mode) -> SolveResult:
                              f"not the claimed {best}")
     return SolveResult("exact", value=best, lower=best, upper=best,
                        certificate=cert, nodes_explored=count)
+
+
+def greedy_clique_by_edge_scan(g) -> int:
+    """The greedy clique bound as first written, one `has_edge` scan per
+    member: the reference for `coloring._greedy_clique`, which must pick the
+    same clique."""
+    best = 1 if g.p else 0
+    for seed in range(g.p):
+        clique = [seed]
+        for v in sorted(g.neighbors(seed), key=lambda v: -g.degree(v)):
+            if all(g.has_edge(v, u) for u in clique):
+                clique.append(v)
+        best = max(best, len(clique))
+    return best

@@ -1,9 +1,14 @@
+import random
+from itertools import combinations
+
 import pytest
 
 from latlab import (FamilySpec, Graph, SolveBudget, TooLargeError, bounds_report,
                     chi_lat_lower_bound, chi_lat_upper_bound_via_cone,
                     chromatic_number, generate, known_value, solve_min_distinct,
                     verify)
+from latlab.coloring import _greedy_clique
+from oracle import greedy_clique_by_edge_scan
 
 QUICK = SolveBudget(max_nodes=50_000_000, max_millis=120_000)
 
@@ -28,6 +33,18 @@ class TestChromaticNumber:
     def test_too_large(self):
         with pytest.raises(TooLargeError):
             chromatic_number(fam("empty", 17))
+
+    def test_greedy_clique_matches_the_edge_scan(self):
+        nx = pytest.importorskip("networkx")
+        graphs = [Graph.from_edges(G.number_of_nodes(), G.edges())
+                  for G in nx.graph_atlas_g()]
+        rng = random.Random(8)
+        for p in range(31):
+            for density in (0.2, 0.5, 0.8):
+                graphs.append(Graph.from_edges(p, [e for e in combinations(range(p), 2)
+                                                   if rng.random() < density]))
+        assert [_greedy_clique(g) for g in graphs] == \
+            [greedy_clique_by_edge_scan(g) for g in graphs]
 
 
 class TestLowerBound:

@@ -3,7 +3,8 @@ import os
 
 import pytest
 
-from latlab import FamilySpec, Labeling, SolveBudget, generate, graph6_encode, make_certificate
+from latlab import (FamilySpec, Labeling, LatlabError, SolveBudget, generate, graph6_encode,
+                    make_certificate)
 from latlab.cache import CACHE_ENV_VAR, cache_key, load_entry, store_entry
 from latlab.certificate import certificate_to_dict
 from latlab.cli import main
@@ -31,7 +32,7 @@ def test_failed_write_keeps_previous_entry(tmp_path, monkeypatch):
         raise OSError("disk full")
 
     monkeypatch.setattr(os, "replace", fail)
-    with pytest.raises(OSError, match="disk full"):
+    with pytest.raises(LatlabError, match="disk full"):
         store_entry(tmp_path, C4, "total", "exhausted", lower=2)
     monkeypatch.undo()
     assert path.read_text() == before

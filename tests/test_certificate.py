@@ -9,8 +9,8 @@ import pytest
 
 import latlab
 
-from latlab import (CertificateError, FamilySpec, Graph, IntegrityError, Labeling,
-                    ParseError, export_dot, generate, make_certificate,
+from latlab import (Certificate, CertificateError, FamilySpec, Graph, IntegrityError,
+                    Labeling, ParseError, export_dot, generate, make_certificate,
                     read_certificate, write_certificate)
 from latlab.certificate import certificate_to_dict
 
@@ -123,6 +123,12 @@ class TestRoundTrip:
         assert cert.extra == {"x-reviewer-note": {"seen": True}}
         rewritten = json.loads(write_certificate(cert))
         assert rewritten["x-reviewer-note"] == {"seen": True}
+
+    def test_provenance_and_extra_default_to_empty(self):
+        made = p3_paper_cert()
+        cert = Certificate(made.graph, made.labeling, made.weights, made.distinct)
+        assert (cert.provenance, cert.citation, cert.extra) == ({}, None, {})
+        assert json.loads(write_certificate(cert))["provenance"] == {}
 
     def test_random_round_trip(self):
         rng = random.Random(42)

@@ -231,3 +231,14 @@ class TestAtlas:
         code, out, _ = run(capsys, "atlas", str(stream), "--mode", "total", "--json")
         record = json.loads(out.splitlines()[0])
         assert record["value"] == 2 and not record["cached"]
+
+    def test_cache_directory_that_is_a_file_is_invalid_input(self, capsys, tmp_path,
+                                                              monkeypatch):
+        blocker = tmp_path / "not-a-directory"
+        blocker.write_text("")
+        monkeypatch.setenv("LATLAB_CACHE_DIR", str(blocker))
+        stream = tmp_path / "one.g6"
+        stream.write_text("Bw\n")
+        code, out, err = run(capsys, "atlas", str(stream), "--mode", "total")
+        assert code == 2 and out == ""
+        assert f"cannot write cache directory {blocker}" in err

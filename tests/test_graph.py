@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 
 from latlab import (FamilySpec, Graph, ParameterError, ParseError, ValidationError,
@@ -25,6 +28,20 @@ class TestGraphType:
         assert g.edges == ((0, 1), (1, 2))
         with pytest.raises(ValidationError):
             Graph.from_edges(3, [(0, 1), (1, 0)])
+
+    def test_value_semantics(self):
+        g, spec = fam("cycle", 4), FamilySpec("cycle", (4,))
+        assert g == Graph.from_edges(4, [(3, 0), (0, 1), (1, 2), (2, 3)])
+        assert hash(g) == hash(fam("cycle", 4)) and g != (4, g.edges)
+        assert repr(g) == "Graph(p=4, edges=((0, 1), (0, 3), (1, 2), (2, 3)))"
+        assert repr(spec) == "FamilySpec(kind='cycle', params=(4,))"
+        for value in (g, spec):
+            assert pickle.loads(pickle.dumps(value)) == value == copy.deepcopy(value)
+        with pytest.raises(AttributeError):
+            g.p = 5
+        with pytest.raises(AttributeError):
+            del spec.kind
+        assert g.p == 4 and spec.kind == "cycle"
 
     def test_degree_and_adjacency(self):
         g = fam("cycle", 4)

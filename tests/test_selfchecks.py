@@ -6,7 +6,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import latlab
+from latlab.cli import main
 
 SRC = Path(latlab.__file__).resolve().parent
 
@@ -63,10 +66,9 @@ def test_no_recursion_in_the_solver():
     assert not found, f"solver.py functions call themselves: {found}"
 
 
-def test_package_imports_only_the_standard_library():
-    # latlab has no runtime dependencies; function-level imports count too
-    allowed = set(sys.stdlib_module_names) | {"latlab"}
-    found = []
+def _absolute_imports():
+    """(file:line, module) of each absolute import in the package;
+    function-level imports count too."""
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.Import):
@@ -75,6 +77,76 @@ def test_package_imports_only_the_standard_library():
                 names = [node.module]
             else:
                 continue
-            found += [f"{path.name}:{node.lineno}: {name}" for name in names
-                      if name.split(".")[0] not in allowed]
+            yield from ((f"{path.name}:{node.lineno}", name) for name in names)
+
+
+def test_package_imports_only_the_standard_library():
+    # latlab has no runtime dependencies
+    allowed = set(sys.stdlib_module_names) | {"latlab"}
+    found = [f"{where}: {name}" for where, name in _absolute_imports()
+             if name.split(".")[0] not in allowed]
     assert not found, f"imports outside the standard library: {found}"
+
+
+def test_no_dataclasses_in_package():
+    # `dataclasses` imports inspect, ast, dis and tokenize: too slow to load
+    # in every short CLI process
+    found = [where for where, name in _absolute_imports() if name.split(".")[0] == "dataclasses"]
+    assert not found, f"dataclasses imported at {found}"
+
+
+def test_public_names_resolve_lazily():
+    for name in latlab.__all__:
+        assert getattr(latlab, name) is not None
+    namespace = {}
+    exec("from latlab import *", namespace)
+    assert set(latlab.__all__) <= set(namespace)
+    assert set(latlab.__all__) <= set(dir(latlab))
+    from latlab import solver  # a submodule, not a public name
+    assert solver.solve_min_distinct is latlab.solve_min_distinct
+    with pytest.raises(AttributeError):
+        latlab.no_such_name
+
+
+# Runs `latlab <argv>` in the interpreter, then prints the modules it loaded.
+FOOTPRINT_SCRIPT = """
+import sys
+from latlab.cli import main
+code = main(sys.argv[1:])
+print()
+print(code, *sorted(sys.modules))
+"""
+NEVER_LOADED_BY_CHECKS = {"latlab.solver", "latlab.transforms", "latlab.constructions",
+                          "dataclasses"}
+
+
+def _loaded_by(argv, cache=None):
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    env.pop("LATLAB_CACHE_DIR", None)
+    if cache is not None:
+        env["LATLAB_CACHE_DIR"] = str(cache)
+    proc = subprocess.run([sys.executable, "-S", "-c", FOOTPRINT_SCRIPT, *argv],
+                          capture_output=True, text=True, timeout=60, env=env)
+    *output, last = proc.stdout.splitlines()
+    code, *modules = last.split()
+    assert code == "0", proc.stderr
+    return "\n".join(output), set(modules)
+
+
+def test_each_command_loads_only_its_modules(tmp_path, monkeypatch, capsys):
+    cert = tmp_path / "p5.json"
+    assert main(["construct", "odd-path", "5", "--out", str(cert)]) == 0
+    stream = tmp_path / "two.g6"
+    stream.write_text("Dhc\nCF\n")
+    monkeypatch.setenv("LATLAB_CACHE_DIR", str(tmp_path / "cache"))
+    assert main(["atlas", str(stream)]) == 0
+    assert "cached=False" in capsys.readouterr().out
+
+    for argv in (["verify", str(cert)], ["dot", str(cert)]):
+        _, loaded = _loaded_by(argv)
+        assert "latlab.certificate" in loaded
+        assert not loaded & (NEVER_LOADED_BY_CHECKS | {"latlab.bounds", "latlab.coloring",
+                                                       "latlab.cache", "hashlib"}), argv
+    out, loaded = _loaded_by(["atlas", str(stream)], tmp_path / "cache")
+    assert out.count("cached=True") == 2 and "latlab.cache" in loaded
+    assert not loaded & NEVER_LOADED_BY_CHECKS

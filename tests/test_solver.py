@@ -43,6 +43,13 @@ class TestBudget:
         with pytest.raises(ParameterError):
             SolveBudget(max_nodes=0)
 
+    def test_value_semantics(self):
+        budget = SolveBudget(max_nodes=5)
+        assert budget == SolveBudget(5) and hash(budget) == hash(SolveBudget(5))
+        assert repr(budget) == "SolveBudget(max_nodes=5, max_millis=None)"
+        with pytest.raises(AttributeError):
+            budget.max_nodes = 10
+
     def test_exhaustion_reports_not_wrong(self):
         res = solve_min_distinct(fam("cycle", 7), "total", SolveBudget(max_nodes=50))
         assert res.status in ("exhausted", "lower_upper")
@@ -224,6 +231,17 @@ class TestFindWithAtMostK:
         monkeypatch.setattr(solver, "_slot_order", slow_slot_order)
         res = find_with_at_most_k(fam("cycle", 5), 2, "total", SolveBudget(max_millis=50))
         assert (res.status, res.nodes_explored) == ("unknown", 0)
+        res = solve_min_distinct(fam("cycle", 5), "total", SolveBudget(max_millis=50))
+        assert (res.status, res.nodes_explored) == ("exhausted", 0)
+
+    def test_time_budget_covers_the_lower_bound(self, monkeypatch):
+        lower_bound = solver.chi_lat_lower_bound
+
+        def slow_lower_bound(g):
+            time.sleep(0.1)
+            return lower_bound(g)
+
+        monkeypatch.setattr(solver, "chi_lat_lower_bound", slow_lower_bound)
         res = solve_min_distinct(fam("cycle", 5), "total", SolveBudget(max_millis=50))
         assert (res.status, res.nodes_explored) == ("exhausted", 0)
 
