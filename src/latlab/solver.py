@@ -68,41 +68,46 @@ def _slot_order(g: Graph, mode: SearchMode, deadline: Optional[float] = None):
 
     Greedy: pick the slot finishing the most vertices; tie-break by how
     close it brings its nearest vertex to completion, then by slot index.
-    Keys only fall as slots are placed, so a heap that gets each slot's
-    new key when it changes pops the same slot as a full scan; a slot's
-    older keys are larger and pop after it is placed.  Past `deadline`
-    (checked every 1,024 placements) the unplaced slots follow in index
-    order.
+    A slot's closeness is set by its touched vertex with the fewest open
+    slots, so the pick is the lowest slot finishing two vertices if there
+    is one, else the lowest open slot of a vertex with the fewest open
+    slots.  Two lazy heaps find it: `two` holds the slots finishing two
+    vertices, `fewest` one (open slots, lowest open slot, v) per change
+    of v; stale entries are skipped when they come to the top.  Past
+    `deadline` (checked every 1,024 placements) the unplaced slots follow
+    in index order.
     """
     n, vslots, touches = _slot_model(g, mode)
     need = [len(s) for s in vslots]
-
-    def key(s):
-        completes = sum(1 for v in touches[s] if need[v] == 1)
-        closeness = min((need[v] - 1 for v in touches[s]), default=n + 1)
-        return (-completes, closeness, s)
-
-    current = [key(s) for s in range(n)]
-    heap = list(current)
-    heapq.heapify(heap)
+    low = [0] * g.p  # vslots[v][low[v]] is v's lowest open slot
+    fewest = [(need[v], vslots[v][0], v) for v in range(g.p) if need[v]]
+    heapq.heapify(fewest)
+    two = [s for s, t in enumerate(touches) if len(t) == 2 and need[t[0]] == need[t[1]] == 1]
     placed = [False] * n
     order = []
-    while heap:
-        s = heapq.heappop(heap)[2]
-        if placed[s]:
-            continue
+    while len(order) < n:
+        while two and placed[two[0]]:
+            heapq.heappop(two)
+        if two:
+            s = heapq.heappop(two)
+        else:
+            while need[fewest[0][2]] != fewest[0][0]:
+                heapq.heappop(fewest)
+            s = fewest[0][1]
         placed[s] = True
         order.append(s)
         if deadline is not None and not len(order) & 1023 and time.monotonic() > deadline:
             return order + [t for t in range(n) if not placed[t]]
         for v in touches[s]:
             need[v] -= 1
-            for t in vslots[v]:
-                if not placed[t]:
-                    k = key(t)
-                    if k != current[t]:
-                        current[t] = k
-                        heapq.heappush(heap, k)
+            if need[v]:
+                slots, i = vslots[v], low[v]
+                while placed[slots[i]]:
+                    i += 1
+                low[v], t = i, slots[i]
+                heapq.heappush(fewest, (need[v], t, v))
+                if need[v] == 1 and len(touches[t]) == 2 and all(need[u] == 1 for u in touches[t]):
+                    heapq.heappush(two, t)
     return order
 
 
@@ -137,8 +142,8 @@ class _Search:
 
     Slots are filled in the static order `_slot_order`, so the depth at
     which each vertex weight completes is fixed in advance; `steps[d]`
-    holds what placing a label at depth d touches and which adjacent pairs
-    it may set equal."""
+    holds the slot placed at depth d, the one or two vertices it touches,
+    the vertices it completes and the adjacent pairs it may set equal."""
 
     def __init__(self, g: Graph, mode: SearchMode, budget: SolveBudget,
                  family: Optional[FamilySpec] = None, pruning: bool = True):
@@ -156,7 +161,8 @@ class _Search:
         self.wcount = [0] * (heaviest + 1)  # vertices per weight
         order = _slot_order(g, mode, self.deadline)
         self.assign = [0] * n
-        self.wpart = [0] * g.p
+        # a slot touching one vertex also adds to the spare wpart[p], never read
+        self.wpart = [0] * (g.p + 1)
         # vertices with no contributing slots (isolated, edge mode) weigh 0
         self.wcount[0] = sum(1 for s in vslots if not s)
         self.distinct = int(self.wcount[0] > 0)
@@ -181,8 +187,8 @@ class _Search:
             done = tuple(v for v in touches[s] if at[v] == d)
             pairs = tuple((v, u) for v in done for u in g.neighbors(v)
                           if at[u] < d or (at[u] == d and u < v))
-            self.steps.append((s, touches[s], done, pairs,
-                               star if s in orbit_rest else None))
+            ta, tb = touches[s] if len(touches[s]) == 2 else (touches[s][0], g.p)
+            self.steps.append((s, ta, tb, done, pairs, star if s in orbit_rest else None))
 
     def labelings(self):
         """Yield the distinct-weight count of every complete labeling, in
@@ -191,15 +197,21 @@ class _Search:
         tried at a slot counts one node; `cut` is set when the budget stops
         the search.  With pruning, a label that would add a weight past
         `allowed` is refused by one `wcount` read, unapplied, and still
-        counts its node, so the tree is that of applying it."""
+        counts its node, so the tree is that of applying it; once the count
+        is already past `allowed`, every label is refused that way."""
         if self.deadline is not None and time.monotonic() > self.deadline:
             self.cut = True  # set-up outlasted the budget: search no node
             return
         n, steps, assign, wpart, wcount = (self.n, self.steps, self.assign,
                                            self.wpart, self.wcount)
-        pruning, allowed, distinct = self.pruning, self.allowed, self.distinct
+        pruning, distinct = self.pruning, self.distinct
+        allowed = self.allowed if pruning else sys.maxsize
         limit = self.max_nodes if self.max_nodes is not None else sys.maxsize
         deadline, monotonic, nodes = self.deadline, time.monotonic, self.nodes
+        # a node at or past `stop` is past the limit or, with a deadline,
+        # on a multiple of 1,024, where the clock is read
+        stop = limit + 1 if deadline is None else min(limit + 1, (nodes | 1023) + 1)
+        absent = [0] * (n + 1)  # a weight row with no weight present: refuses every label
         # free labels as a doubly linked list between sentinels 0 and n + 1
         nxt = list(range(1, n + 2))
         prv = list(range(-1, n + 1))
@@ -208,51 +220,57 @@ class _Search:
             if depth == n:
                 self.nodes = nodes
                 yield distinct
-                allowed = self.allowed
+                if pruning:
+                    allowed = self.allowed
                 label = n + 1
             else:
-                s, touch, done, pairs, star = steps[depth]
+                s, ta, tb, done, pairs, star = steps[depth]
                 label = nxt[0]
                 if star is not None:
                     floor = assign[star]
                     while label <= floor:
                         label = nxt[label]
             while True:  # try labels from `label` up; out of labels, back up
-                if done and distinct >= allowed and pruning:
-                    # a label giving done[0] a weight no vertex has yet would
-                    # add one weight too many: refuse it unapplied
-                    base = wpart[done[0]]
-                    while label <= n and (distinct > allowed or not wcount[base + label]):
+                if distinct >= allowed and (done or distinct > allowed):
+                    # refuse unapplied a label giving done[0] a weight no
+                    # vertex has yet, or any label past `allowed`
+                    row, base = (wcount, wpart[done[0]]) if distinct == allowed else (absent, 0)
+                    while label <= n and not row[base + label]:
                         nodes += 1
-                        if nodes > limit or (deadline is not None and not nodes & 1023
-                                             and monotonic() > deadline):
-                            self.nodes, self.cut = nodes, True
-                            return
+                        if nodes >= stop:
+                            if nodes > limit or monotonic() > deadline:
+                                self.nodes, self.cut = nodes, True
+                                return
+                            stop = min(limit + 1, nodes + 1024)
                         label = nxt[label]
                 if label > n:
                     if depth == 0:
                         self.nodes = nodes
                         return
                     depth -= 1
-                    s, touch, done, pairs, _ = steps[depth]
+                    s, ta, tb, done, pairs, _ = steps[depth]
                     label = assign[s]
                     nxt[prv[label]] = prv[nxt[label]] = label
-                    for v in done:
-                        w = wpart[v]
-                        wcount[w] -= 1
-                        if not wcount[w]:
-                            distinct -= 1
-                    for v in touch:
-                        wpart[v] -= label
+                    if done:
+                        for v in done:
+                            w = wpart[v]
+                            wcount[w] -= 1
+                            if not wcount[w]:
+                                distinct -= 1
+                    wpart[ta] -= label
+                    wpart[tb] -= label
                     label = nxt[label]
                     continue
                 nodes += 1
-                if nodes > limit or (deadline is not None and not nodes & 1023
-                                     and monotonic() > deadline):
-                    self.nodes, self.cut = nodes, True
-                    return
-                for v in touch:
-                    wpart[v] += label
+                if nodes >= stop:
+                    if nodes > limit or monotonic() > deadline:
+                        self.nodes, self.cut = nodes, True
+                        return
+                    stop = min(limit + 1, nodes + 1024)
+                wpart[ta] += label
+                wpart[tb] += label
+                if not done:
+                    break  # completes no vertex, and distinct <= allowed
                 for v, u in pairs:
                     if wpart[v] == wpart[u]:
                         break
@@ -262,15 +280,15 @@ class _Search:
                         if not wcount[w]:
                             distinct += 1
                         wcount[w] += 1
-                    if not pruning or distinct <= allowed:
+                    if distinct <= allowed:
                         break  # leaves the while loop: place label, descend
                     for v in done:
                         w = wpart[v]
                         wcount[w] -= 1
                         if not wcount[w]:
                             distinct -= 1
-                for v in touch:
-                    wpart[v] -= label
+                wpart[ta] -= label
+                wpart[tb] -= label
                 label = nxt[label]
             assign[s] = label
             nxt[prv[label]], prv[nxt[label]] = nxt[label], prv[label]

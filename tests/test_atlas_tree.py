@@ -5,7 +5,9 @@ most 5 vertices in both modes, the `solve_min_distinct` result at a
 40,000-node budget, and the results of four anchor searches cut at node
 budgets that land inside runs of labels rejected for adding a weight.  A
 faster search core must reproduce every status, bound, node count and
-witness.  Regenerate the file (only from a commit whose tree is trusted) with
+witness, also under a time budget far above the searches' length, where
+reading the clock must change nothing.  Regenerate the file (only from a
+commit whose tree is trusted) with
 
     PYTHONPATH=src python tests/test_atlas_tree.py
 """
@@ -20,6 +22,7 @@ from latlab import FamilySpec, Graph, SolveBudget, find_with_at_most_k, generate
 GOLDEN = Path(__file__).parent / "data" / "atlas5_tree.json"
 ATLAS_NODES = 40_000
 CUTS = (3, 17, 1023, 1024, 1025, 33333)
+FAR_MILLIS = 10**9  # a deadline that is read but never reached
 # (name, family, order, mode, k): k None is a full solve
 ANCHORS = (("w4_total_k3", "wheel", 4, "total", 3), ("c5_total_k2", "cycle", 5, "total", 2),
            ("w5_edge_solve", "wheel", 5, "edge", None),
@@ -35,7 +38,7 @@ def _solve_record(res):
             "nodes": res.nodes_explored, "labels": _labels(res.certificate)}
 
 
-def atlas_records():
+def atlas_records(max_millis=None):
     import networkx as nx
     records = []
     for i, G in enumerate(nx.graph_atlas_g()):
@@ -43,17 +46,17 @@ def atlas_records():
             break
         g = Graph.from_edges(G.number_of_nodes(), G.edges())
         for mode in ("total", "edge"):
-            res = solve_min_distinct(g, mode, SolveBudget(max_nodes=ATLAS_NODES))
+            res = solve_min_distinct(g, mode, SolveBudget(max_nodes=ATLAS_NODES, max_millis=max_millis))
             records.append({"atlas": i, "mode": mode, **_solve_record(res)})
     return records
 
 
-def cut_records():
+def cut_records(max_millis=None):
     records = []
     for name, kind, order, mode, k in ANCHORS:
         g = generate(FamilySpec(kind, (order,)))
         for limit in CUTS:
-            budget = SolveBudget(max_nodes=limit)
+            budget = SolveBudget(max_nodes=limit, max_millis=max_millis)
             if k is None:
                 record = _solve_record(solve_min_distinct(g, mode, budget))
             else:
@@ -79,6 +82,13 @@ def test_budget_cuts_match_golden():
     for rec in records:
         if rec["status"] in ("unknown", "exhausted", "lower_upper"):
             assert rec["nodes"] == rec["max_nodes"] + 1
+
+
+def test_time_budget_leaves_the_results_unchanged():
+    pytest.importorskip("networkx")
+    golden = json.loads(GOLDEN.read_text())
+    assert atlas_records(FAR_MILLIS) == golden["atlas"]
+    assert cut_records(FAR_MILLIS) == golden["cuts"]
 
 
 if __name__ == "__main__":

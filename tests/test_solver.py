@@ -2,8 +2,9 @@ import json
 import random
 import sys
 import time
-from itertools import combinations
+from itertools import combinations, count
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -262,9 +263,13 @@ class TestSearchTree:
     per free label tried, the budget checked before the weight conflict.
     A label that would add a weight past the allowed count is refused by
     one weight-table read instead of being applied, and still counts one
-    node.  The counts and witnesses below are those of the original
-    per-node method search, so a faster search core must reproduce them
-    exactly."""
+    node; once an incumbent leaves the count past the allowed one, every
+    label is refused, at slots completing no vertex too.  The node budget
+    stops the search at node max_nodes + 1; the clock is read on entering
+    the search and then at every multiple of 1,024 nodes within the node
+    budget, and a deadline found passed stops the search at that node.
+    The counts and witnesses below are those of the original per-node
+    method search, so a faster search core must reproduce them exactly."""
 
     def test_c5_total_at_2_none(self):
         res = find_with_at_most_k(fam("cycle", 5), 2, "total", QUICK)
@@ -303,6 +308,37 @@ class TestSearchTree:
     def test_budget_stop_counts_the_refused_node(self):
         res = find_with_at_most_k(fam("wheel", 4), 3, "total", SolveBudget(max_nodes=100_000))
         assert (res.status, res.nodes_explored) == ("unknown", 100_001)
+
+    @pytest.mark.parametrize("reads,status,nodes,labels", [
+        (3, "lower_upper", 1_024, (1, 3, 5, 7, 9, 11, 2, 4, 6, 8, 10)),
+        (7, "lower_upper", 5_120, (1, 3, 5, 7, 9, 11, 2, 4, 6, 8, 10)),
+        (40, "lower_upper", 38_912, (1, 3, 9, 6, 11, 8, 2, 10, 4, 5, 7)),
+        (4, "unknown", 2_048, None),
+    ])
+    def test_deadline_is_read_every_1024_nodes(self, monkeypatch, reads, status, nodes, labels):
+        # a clock that passes the deadline at its `reads`-th reading: one
+        # starts the budget, one is taken on entering the search, then one
+        # every 1,024 nodes; the cuts land in both a refused and an applied label
+        readings = count(1)
+        clock = SimpleNamespace(monotonic=lambda: 0.0 if next(readings) < reads else 1e9)
+        monkeypatch.setattr(solver, "time", clock)
+        budget = SolveBudget(max_millis=1_000)
+        if labels is None:
+            res = find_with_at_most_k(fam("wheel", 4), 3, "total", budget)
+            assert (res.status, res.nodes_explored) == (status, nodes)
+        else:
+            res = solve_min_distinct(fam("path", 6), "total", budget)
+            assert (res.status, res.nodes_explored) == (status, nodes)
+            assert res.certificate.labels == labels
+
+    def test_incumbent_refuses_at_slots_completing_no_vertex(self):
+        # networkx atlas graph 22, 2K2 + K1: after the first witness lowers
+        # the allowed count, a slot completing no vertex refuses every label
+        # until backing up lowers the count (accepting them gives 1,115 nodes)
+        res = solve_min_distinct(Graph.from_edges(5, [(0, 2), (3, 4)]), "total",
+                                 SolveBudget(max_nodes=40_000))
+        assert (res.status, res.value, res.nodes_explored) == ("exact", 2, 1_111)
+        assert res.certificate.labels == (1, 5, 6, 2, 7, 4, 3)
 
     @pytest.mark.parametrize("name,kind,n,mode", [
         ("c5_total", "cycle", 5, "total"), ("w4_edge", "wheel", 4, "edge"),
