@@ -47,7 +47,8 @@ class FeasibilityResult(NamedTuple):
 
 # ---------------------------------------------------------------------------
 # Slot model: in total mode slot v (v < p) is vertex v and slot p+e is edge e;
-# in edge mode slot e is edge e.  vslots[v] lists the slots feeding v's weight.
+# in edge mode slot e is edge e.  vslots[v] lists the slots feeding v's weight,
+# in ascending order.
 
 def _slot_model(g: Graph, mode: SearchMode):
     if mode is SearchMode.TOTAL:
