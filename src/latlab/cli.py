@@ -112,17 +112,17 @@ def _solve_payload(res):
 def cmd_solve(args) -> int:
     from .certificate import certificate_to_dict, make_certificate, write_certificate
     from .solver import find_with_at_most_k, solve_min_distinct
-    g, spec = _load_graph(args)
+    g, _ = _load_graph(args)
     mode = args.mode
     budget = _budget_from_args(args)
 
     if args.k is not None:
-        res = find_with_at_most_k(g, args.k, mode, budget, family=spec)
+        res = find_with_at_most_k(g, args.k, mode, budget)
         payload = {"status": res.status, "k": args.k, "nodes": res.nodes_explored}
         status_exit = {"found": EXIT_OK, "none": EXIT_INFEASIBLE,
                        "unknown": EXIT_EXHAUSTED}[res.status]
     else:
-        res = solve_min_distinct(g, mode, budget, family=spec)
+        res = solve_min_distinct(g, mode, budget)
         payload = _solve_payload(res)
         status_exit = {"exact": EXIT_OK, "infeasible": EXIT_INFEASIBLE,
                        "lower_upper": EXIT_EXHAUSTED,

@@ -131,17 +131,32 @@ def disjoint_union(g: Graph, h: Graph) -> Graph:
 # ---------------------------------------------------------------------------
 # Families
 
-_FAMILY_ARITY = {
-    "empty": 1,
-    "path": 1,
-    "cycle": 1,
-    "complete": 1,
-    "complete_bipartite": 2,
-    "wheel": 1,
-    "fan": 1,
-    "k2_plus_empty": 1,
-    "join_complete_cycle": 2,
-    "cycle_join_empty": 2,
+def _path(n: int) -> Graph:
+    return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def _cycle(n: int) -> Graph:
+    return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def _complete(n: int) -> Graph:
+    return Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+
+
+# kind -> (least value of each parameter, builder).  Cone families (wheel,
+# fan, joins with K1) put the apex last, so the base keeps indices 0..n-1.
+_FAMILIES = {
+    "empty": ((0,), lambda n: Graph(n, ())),
+    "path": ((1,), _path),
+    "cycle": ((3,), _cycle),
+    "complete": ((0,), _complete),
+    "complete_bipartite": ((0, 0), lambda a, b: Graph.from_edges(
+        a + b, [(i, a + j) for i in range(a) for j in range(b)])),
+    "wheel": ((3,), lambda n: join(_cycle(n), Graph(1, ()))),
+    "fan": ((1,), lambda n: join(_path(n), Graph(1, ()))),
+    "k2_plus_empty": ((0,), lambda n: disjoint_union(_complete(2), Graph(n, ()))),
+    "join_complete_cycle": ((0, 3), lambda m, n: join(_cycle(n), _complete(m))),
+    "cycle_join_empty": ((3, 0), lambda p, m: join(_cycle(p), Graph(m, ()))),
 }
 
 
@@ -151,25 +166,13 @@ class FamilySpec(Frozen):
     __slots__ = _fields = ("kind", "params")
 
     def __init__(self, kind: str, params: Tuple[int, ...]):
-        if kind not in _FAMILY_ARITY:
-            raise ParameterError(f"unknown family {kind!r}; one of {sorted(_FAMILY_ARITY)}")
-        if len(params) != _FAMILY_ARITY[kind]:
-            raise ParameterError(f"family {kind} takes {_FAMILY_ARITY[kind]} parameter(s)")
-        n = params[0]
-        if kind in ("empty", "complete", "k2_plus_empty") and n < 0:
-            raise ParameterError(f"{kind} requires n >= 0, got {n}")
-        if kind == "path" and n < 1:
-            raise ParameterError(f"path requires n >= 1, got {n}")
-        if kind in ("cycle", "wheel") and n < 3:
-            raise ParameterError(f"{kind} requires n >= 3, got {n}")
-        if kind == "fan" and n < 1:
-            raise ParameterError(f"fan requires n >= 1, got {n}")
-        if kind == "complete_bipartite" and (params[0] < 0 or params[1] < 0):
-            raise ParameterError("complete_bipartite requires nonnegative part sizes")
-        if kind == "join_complete_cycle" and (params[0] < 0 or params[1] < 3):
-            raise ParameterError("join_complete_cycle requires m >= 0 and cycle length n >= 3")
-        if kind == "cycle_join_empty" and (params[0] < 3 or params[1] < 0):
-            raise ParameterError("cycle_join_empty requires cycle length p >= 3 and m >= 0")
+        if kind not in _FAMILIES:
+            raise ParameterError(f"unknown family {kind!r}; one of {sorted(_FAMILIES)}")
+        least = _FAMILIES[kind][0]
+        if len(params) != len(least):
+            raise ParameterError(f"family {kind} takes {len(least)} parameter(s)")
+        if any(x < lo for x, lo in zip(params, least)):
+            raise ParameterError(f"family {kind} requires parameters >= {least}, got {params}")
         self._init(kind, params)
 
     @classmethod
@@ -183,42 +186,10 @@ class FamilySpec(Frozen):
             raise ParameterError(f"non-integer family parameter in {text!r}") from exc
         return cls(kind, params)
 
-    def __str__(self) -> str:
-        return self.kind + "(" + ",".join(str(x) for x in self.params) + ")"
-
 
 def generate(spec: FamilySpec) -> Graph:
-    """Generate the canonical graph for a family.
-
-    For cone families (wheel, fan, join with K1) the apex is the last
-    vertex index, so the base graph keeps indices 0..n-1.
-    """
-    kind, params = spec.kind, spec.params
-    n = params[0]
-    if kind == "empty":
-        return Graph(n, ())
-    if kind == "path":
-        return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
-    if kind == "cycle":
-        return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
-    if kind == "complete":
-        return Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
-    if kind == "complete_bipartite":
-        a, b = params
-        return Graph.from_edges(a + b, [(i, a + j) for i in range(a) for j in range(b)])
-    if kind == "wheel":
-        return join(generate(FamilySpec("cycle", (n,))), Graph(1, ()))
-    if kind == "fan":
-        return join(generate(FamilySpec("path", (n,))), Graph(1, ()))
-    if kind == "k2_plus_empty":
-        return disjoint_union(generate(FamilySpec("complete", (2,))), Graph(n, ()))
-    if kind == "join_complete_cycle":
-        m, cn = params
-        return join(generate(FamilySpec("cycle", (cn,))), generate(FamilySpec("complete", (m,))))
-    if kind == "cycle_join_empty":
-        cp, m = params
-        return join(generate(FamilySpec("cycle", (cp,))), Graph(m, ()))
-    raise ParameterError(f"unknown family {kind!r}")  # pragma: no cover
+    """The canonical graph of a family instance."""
+    return _FAMILIES[spec.kind][1](*spec.params)
 
 
 # ---------------------------------------------------------------------------

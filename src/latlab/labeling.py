@@ -34,7 +34,6 @@ class Labeling(NamedTuple):
 class WeightProfile(NamedTuple):
     weights: Tuple[int, ...]
     distinct_count: int
-    valid: bool  # all adjacent pairs have distinct weights
 
 
 class VerifyReport(NamedTuple):
@@ -80,7 +79,7 @@ def verify(g: Graph, lab: Labeling) -> VerifyReport:
         weights[u] += x
         weights[v] += x
     violations = tuple(e for e, (u, v) in enumerate(g.edges) if weights[u] == weights[v])
-    profile = WeightProfile(tuple(weights), len(set(weights)), not violations)
+    profile = WeightProfile(tuple(weights), len(set(weights)))
     return VerifyReport(profile, violations, duplicates, gaps)
 
 

@@ -16,7 +16,7 @@ from .bounds import chi_lat_lower_bound
 from .budget import SolveBudget
 from .coloring import chromatic_lower_bound
 from .errors import IntegrityError, ParameterError, TooLargeError
-from .graph import FamilySpec, Graph
+from .graph import Graph
 from .labeling import Labeling, check
 
 _WEIGHT_TABLE_LIMIT = 10_000_000  # 80 MB of per-weight counts
@@ -118,20 +118,30 @@ def _labeling_from_assignment(g: Graph, mode: SearchMode, assign) -> Labeling:
     return Labeling(None, tuple(assign))
 
 
-def symmetry_orbit(g: Graph, spec: Optional[FamilySpec], mode: SearchMode):
-    """A transitive automorphic slot orbit for families where it is known
-    a priori: cycle rotation on edges, complete-graph symmetry."""
-    if spec is None:
-        return None
-    if spec.kind == "cycle":
-        if mode is SearchMode.TOTAL:
-            return tuple(range(g.p, g.p + g.q))
-        return tuple(range(g.q))
-    if spec.kind == "complete":
-        if mode is SearchMode.TOTAL:
-            return tuple(range(g.p)) if g.p >= 2 else None
-        return tuple(range(g.q)) if g.q >= 2 else None
-    return None
+def _is_cycle(g: Graph) -> bool:
+    """Connected and 2-regular: the walk from vertex 0 meets every vertex."""
+    if g.p < 3 or any(g.degree(v) != 2 for v in range(g.p)):
+        return False
+    prev, v, length = 0, g.neighbors(0)[0], 1
+    while v:
+        a, b = g.neighbors(v)
+        prev, v, length = v, b if a == prev else a, length + 1
+    return length == g.p
+
+
+def _orbit(g: Graph, mode: SearchMode):
+    """Slots that automorphisms of g map onto one another, any one onto any
+    other: the vertices (total mode) or edges (edge mode) of a complete
+    graph, and the edges of a cycle.  Empty for any other graph, and when
+    fewer than two such slots exist."""
+    total = mode is SearchMode.TOTAL
+    if 2 * g.q == g.p * (g.p - 1):
+        slots = range(g.p) if total else range(g.q)
+    elif _is_cycle(g):
+        slots = range(g.p, g.p + g.q) if total else range(g.q)
+    else:
+        return ()
+    return tuple(slots) if len(slots) >= 2 else ()
 
 
 def _has_isolated_edge(g: Graph) -> bool:
@@ -146,8 +156,7 @@ class _Search:
     holds the slot placed at depth d, the one or two vertices it touches,
     the vertices it completes and the adjacent pairs it may set equal."""
 
-    def __init__(self, g: Graph, mode: SearchMode, budget: SolveBudget,
-                 family: Optional[FamilySpec] = None, pruning: bool = True):
+    def __init__(self, g: Graph, mode: SearchMode, budget: SolveBudget, pruning: bool = True):
         # the time budget covers set-up, slot ordering included
         self.deadline = (time.monotonic() + budget.max_millis / 1000.0
                          if budget.max_millis is not None else None)
@@ -176,12 +185,11 @@ class _Search:
         # the orbit representative (earlier in the order) keeps the orbit's
         # smallest label: a slot of orbit_rest starts above assign[star]
         orbit_rest, star = (), None
-        if pruning:
-            orbit = symmetry_orbit(g, family, mode)
-            if orbit and len(orbit) >= 2:
-                pos = {s: i for i, s in enumerate(order)}
-                star = min(orbit, key=lambda s: pos[s])
-                orbit_rest = frozenset(orbit) - {star}
+        orbit = _orbit(g, mode) if pruning else ()
+        if orbit:
+            pos = {s: i for i, s in enumerate(order)}
+            star = min(orbit, key=lambda s: pos[s])
+            orbit_rest = frozenset(orbit) - {star}
         at = {v: d for d, s in enumerate(order) for v in touches[s]}  # v completes at d
         self.steps = []
         for d, s in enumerate(order):
@@ -297,7 +305,6 @@ class _Search:
 
 
 def solve_min_distinct(g: Graph, mode: SearchMode, budget: SolveBudget = GENEROUS_BUDGET,
-                       family: Optional[FamilySpec] = None,
                        pruning: bool = True) -> SolveResult:
     """Minimum distinct-weight count by branch and bound.
 
@@ -308,7 +315,7 @@ def solve_min_distinct(g: Graph, mode: SearchMode, budget: SolveBudget = GENEROU
     mode = SearchMode(mode)
     if mode is SearchMode.EDGE and _has_isolated_edge(g):
         return SolveResult("infeasible")
-    srch = _Search(g, mode, budget, family=family, pruning=pruning)  # starts the clock
+    srch = _Search(g, mode, budget, pruning=pruning)  # starts the clock
     lower = max(1, chi_lat_lower_bound(g) if mode is SearchMode.TOTAL
                 else chromatic_lower_bound(g))
     best = assign = None
@@ -336,8 +343,7 @@ def solve_min_distinct(g: Graph, mode: SearchMode, budget: SolveBudget = GENEROU
 
 
 def find_with_at_most_k(g: Graph, k: int, mode: SearchMode,
-                        budget: SolveBudget = GENEROUS_BUDGET,
-                        family: Optional[FamilySpec] = None) -> FeasibilityResult:
+                        budget: SolveBudget = GENEROUS_BUDGET) -> FeasibilityResult:
     """Find any valid labeling with at most k distinct weights.
 
     Distinguishes found / definitively-none / unknown (budget ran out).
@@ -347,7 +353,7 @@ def find_with_at_most_k(g: Graph, k: int, mode: SearchMode,
     mode = SearchMode(mode)
     if mode is SearchMode.EDGE and _has_isolated_edge(g):
         return FeasibilityResult("none")
-    srch = _Search(g, mode, budget, family=family)
+    srch = _Search(g, mode, budget)
     srch.allowed = k
     for _ in srch.labelings():
         cert = _labeling_from_assignment(g, mode, srch.assign)

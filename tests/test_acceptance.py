@@ -35,9 +35,8 @@ def report(criterion, detail=""):
 def test_criterion_01_complete_graphs():
     """chi_lat(K_p) = p for p = 1..4 via the solver, <= 10 s each."""
     for p in range(1, 5):
-        spec = FamilySpec("complete", (p,))
         start = time.monotonic()
-        res = solve_min_distinct(generate(spec), "total", BUDGET_10S, family=spec)
+        res = solve_min_distinct(fam("complete", p), "total", BUDGET_10S)
         elapsed = time.monotonic() - start
         assert res.status == "exact" and res.value == p, p
         assert elapsed <= 10.0, (p, elapsed)
@@ -48,18 +47,16 @@ def test_criterion_02_cycles():
     """chi_lat(C3)=3, C4=2, C5=3 by brute + branch-and-bound agreement;
     C6=2 via feasibility at k=2 plus bipartite lower bound."""
     for n, expected in ((3, 3), (4, 2), (5, 3)):
-        spec = FamilySpec("cycle", (n,))
-        g = generate(spec)
+        g = fam("cycle", n)
         start = time.monotonic()
         oracle = brute_force_min_distinct(g, "total")
-        ours = solve_min_distinct(g, "total", BUDGET_60S, family=spec)
+        ours = solve_min_distinct(g, "total", BUDGET_60S)
         elapsed = time.monotonic() - start
         assert oracle.status == ours.status == "exact"
         assert oracle.value == ours.value == expected, n
         assert elapsed <= 60.0, (n, elapsed)
     c6 = fam("cycle", 6)
-    found = find_with_at_most_k(c6, 2, "total", BUDGET_60S,
-                                family=FamilySpec("cycle", (6,)))
+    found = find_with_at_most_k(c6, 2, "total", BUDGET_60S)
     assert found.status == "found"
     assert chi_lat_lower_bound(c6) == 2
     report(2, "cycle values 3,2,3 and C6=2")
@@ -110,9 +107,9 @@ def test_criterion_06_transform_weight_preservation():
     for g in k4_samples:
         old = verify(k4, g).profile.weights
         base, f = cone_to_total(k4, g, apex=3)
-        prof = verify(base, f).profile
-        assert prof.valid
-        assert prof.weights == old[:3]
+        rep = verify(base, f)
+        assert rep.valid
+        assert rep.profile.weights == old[:3]
 
     dc = fam("cycle_join_empty", 4, 2)
     top = 2 * 4 + 4 + 1
@@ -122,9 +119,9 @@ def test_criterion_06_transform_weight_preservation():
         if any(top + w[4] == w[i] for i in range(4)):
             continue
         out, f = double_cone_collapse(dc, g, (4, 5))
-        prof = verify(out, f).profile
-        assert prof.valid
-        assert prof.weights[:4] == w[:4]
+        rep = verify(out, f)
+        assert rep.valid
+        assert rep.profile.weights[:4] == w[:4]
         transformed += 1
     assert transformed >= 20
     report(6, f"K4 x20, C4vO2 x{transformed} weight-exact transforms")

@@ -6,8 +6,12 @@ most 5 vertices in both modes, the `solve_min_distinct` result at a
 budgets that land inside runs of labels rejected for adding a weight.  A
 faster search core must reproduce every status, bound, node count and
 witness, also under a time budget far above the searches' length, where
-reading the clock must change nothing.  Regenerate the file (only from a
-commit whose tree is trusted) with
+reading the clock must change nothing.  To print each record that a
+change of search moves (its key, then old -> new), writing nothing, run
+
+    PYTHONPATH=src python tests/test_atlas_tree.py --diff
+
+Regenerate the file (only from a commit whose tree is trusted) with
 
     PYTHONPATH=src python tests/test_atlas_tree.py
 """
@@ -67,6 +71,34 @@ def cut_records(max_millis=None):
     return records
 
 
+def diff_lines(golden, fresh):
+    """One line per record of `fresh` that differs from `golden`: the
+    record's key, then each changed field as old -> new."""
+    lines = []
+    for part, keys in (("atlas", ("atlas", "mode")), ("cuts", ("anchor", "max_nodes"))):
+        if len(golden[part]) != len(fresh[part]):
+            lines.append(f"{part}: {len(golden[part])} -> {len(fresh[part])} records")
+        for old, new in zip(golden[part], fresh[part]):
+            if old != new:
+                key = f"{keys[0]} {new[keys[0]]} {keys[1]} {new[keys[1]]}"
+                moves = [f"{field} {old.get(field)} -> {value}"
+                         for field, value in new.items() if old.get(field) != value]
+                lines.append(f"{key}: " + ", ".join(moves))
+    return lines
+
+
+def test_diff_names_each_moved_record():
+    golden = json.loads(GOLDEN.read_text())
+    assert diff_lines(golden, golden) == []
+    moved = json.loads(GOLDEN.read_text())
+    moved["atlas"][3]["nodes"] += 1
+    moved["cuts"][0]["status"] = "moved"
+    a, c = golden["atlas"][3], golden["cuts"][0]
+    assert diff_lines(golden, moved) == [
+        f"atlas {a['atlas']} mode {a['mode']}: nodes {a['nodes']} -> {a['nodes'] + 1}",
+        f"anchor {c['anchor']} max_nodes {c['max_nodes']}: status {c['status']} -> moved"]
+
+
 def test_atlas_matches_golden():
     pytest.importorskip("networkx")
     golden = json.loads(GOLDEN.read_text())["atlas"]
@@ -92,5 +124,10 @@ def test_time_budget_leaves_the_results_unchanged():
 
 
 if __name__ == "__main__":
-    GOLDEN.write_text(json.dumps({"atlas": atlas_records(), "cuts": cut_records()},
-                                 separators=(",", ":")) + "\n")
+    import sys
+    fresh = {"atlas": atlas_records(), "cuts": cut_records()}
+    if sys.argv[1:] == ["--diff"]:
+        for line in diff_lines(json.loads(GOLDEN.read_text()), fresh):
+            print(line)
+    else:
+        GOLDEN.write_text(json.dumps(fresh, separators=(",", ":")) + "\n")

@@ -142,7 +142,7 @@ class TestKnownValues:
                  FamilySpec("k2_plus_empty", (3,))]
         for spec in specs:
             kr = known_value(spec)
-            res = solve_min_distinct(generate(spec), "total", QUICK, family=spec)
+            res = solve_min_distinct(generate(spec), "total", QUICK)
             assert res.status == "exact"
             assert kr.low <= res.value <= kr.high, spec
 

@@ -54,6 +54,15 @@ class TestSolve:
                            "--k", "2", "--json")
         assert code == 0 and json.loads(out)["status"] == "found"
 
+    def test_family_and_file_search_the_same_tree(self, capsys, tmp_path):
+        # the symmetry cut is read off the graph, not from --family
+        import latlab
+        path = tmp_path / "c5.txt"
+        path.write_text(latlab.format_graph(latlab.generate(latlab.FamilySpec("cycle", (5,)))))
+        for source in (["--family", "cycle:5"], [str(path)]):
+            code, out, _ = run(capsys, "solve", *source, "--mode", "total", "--k", "2")
+            assert (code, out) == (3, "status=none k=2 nodes=241127\n")
+
     def test_feasibility_none(self, capsys):
         code, _, _ = run(capsys, "solve", "--family", "cycle:3", "--mode", "total",
                          "--k", "2")

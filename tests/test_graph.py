@@ -107,6 +107,34 @@ class TestFamilies:
             "complete_bipartite", (2, 3))
 
 
+# kind -> (least parameters, (p, q) of the graph they build)
+LEAST = {
+    "empty": ((0,), (0, 0)),
+    "path": ((1,), (1, 0)),
+    "cycle": ((3,), (3, 3)),
+    "complete": ((0,), (0, 0)),
+    "complete_bipartite": ((0, 0), (0, 0)),
+    "wheel": ((3,), (4, 6)),
+    "fan": ((1,), (2, 1)),
+    "k2_plus_empty": ((0,), (2, 1)),
+    "join_complete_cycle": ((0, 3), (3, 3)),
+    "cycle_join_empty": ((3, 0), (3, 3)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(LEAST))
+def test_family_least_parameters(kind):
+    least, pq = LEAST[kind]
+    g = generate(FamilySpec(kind, least))
+    assert (g.p, g.q) == pq
+    for i in range(len(least)):
+        with pytest.raises(ParameterError):
+            FamilySpec(kind, least[:i] + (least[i] - 1,) + least[i + 1:])
+    for params in (least[:-1], least + (0,)):
+        with pytest.raises(ParameterError):
+            FamilySpec(kind, params)
+
+
 class TestCombinators:
     def test_join_wheel(self):
         g = join(fam("empty", 1), fam("cycle", 4))

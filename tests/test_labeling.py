@@ -12,10 +12,10 @@ C3 = generate(FamilySpec("cycle", (3,)))
 class TestTotalWeights:
     def test_p3_sequence(self):
         f = Labeling((1, 3, 2), (5, 4))
-        prof = verify(P3, f).profile
-        assert prof.weights == (6, 12, 6)
-        assert prof.distinct_count == 2
-        assert prof.valid
+        report = verify(P3, f)
+        assert report.profile.weights == (6, 12, 6)
+        assert report.profile.distinct_count == 2
+        assert report.valid
 
     def test_k1(self):
         prof = verify(Graph(1, ()), Labeling((1,), ())).profile
@@ -51,16 +51,16 @@ class TestTotalWeights:
 
 class TestEdgeWeights:
     def test_c3(self):
-        prof = verify(C3, Labeling(None, (1, 3, 2))).profile
-        assert prof.weights == (4, 3, 5)
-        assert prof.distinct_count == 3
-        assert prof.valid
+        report = verify(C3, Labeling(None, (1, 3, 2)))
+        assert report.profile.weights == (4, 3, 5)
+        assert report.profile.distinct_count == 3
+        assert report.valid
 
     def test_k2(self):
         g = generate(FamilySpec("complete", (2,)))
-        prof = verify(g, Labeling(None, (1,))).profile
-        assert prof.weights == (1, 1)
-        assert not prof.valid
+        report = verify(g, Labeling(None, (1,)))
+        assert report.profile.weights == (1, 1)
+        assert not report.valid
 
     def test_p3(self):
         prof = verify(P3, Labeling(None, (1, 2))).profile

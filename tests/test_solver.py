@@ -12,7 +12,7 @@ from latlab import (FamilySpec, Graph, IntegrityError, Labeling, ParameterError,
                     SolveBudget, TooLargeError, disjoint_union, find_with_at_most_k,
                     generate, iter_valid_labelings, solve_min_distinct, verify)
 from latlab import solver
-from latlab.solver import SearchMode, _Search, _slot_model, _slot_order
+from latlab.solver import SearchMode, _orbit, _Search, _slot_model, _slot_order
 from oracle import brute_force_min_distinct
 
 QUICK = SolveBudget(max_nodes=50_000_000, max_millis=120_000)
@@ -113,7 +113,7 @@ class TestSolve:
                 if universe > 9:
                     continue
                 oracle = brute_force_min_distinct(g, mode)
-                ours = solve_min_distinct(g, mode, QUICK, family=spec)
+                ours = solve_min_distinct(g, mode, QUICK)
                 assert (ours.status, ours.value) == (oracle.status, oracle.value), spec
 
     def test_lower_bound_safety(self):
@@ -135,10 +135,10 @@ class TestSolve:
             plain = solve_min_distinct(g, "total", QUICK, pruning=False)
             assert pruned.value == plain.value
 
-    def test_symmetry_breaking_preserves_value(self):
-        spec = FamilySpec("cycle", (4,))
-        g = generate(spec)
-        with_sym = solve_min_distinct(g, "total", QUICK, family=spec)
+    def test_symmetry_breaking_preserves_value(self, monkeypatch):
+        g = fam("cycle", 4)
+        with_sym = solve_min_distinct(g, "total", QUICK)
+        monkeypatch.setattr(solver, "_orbit", lambda g, mode: ())
         without = solve_min_distinct(g, "total", QUICK)
         assert with_sym.value == without.value == 2
 
@@ -268,12 +268,14 @@ class TestSearchTree:
     stops the search at node max_nodes + 1; the clock is read on entering
     the search and then at every multiple of 1,024 nodes within the node
     budget, and a deadline found passed stops the search at that node.
-    The counts and witnesses below are those of the original per-node
-    method search, so a faster search core must reproduce them exactly."""
+    Cycles and complete graphs get the orbit cut from the graph itself,
+    whether built by `generate` or read from a file.  The counts and
+    witnesses below are those of the original per-node method search, so
+    a faster search core must reproduce them exactly."""
 
     def test_c5_total_at_2_none(self):
         res = find_with_at_most_k(fam("cycle", 5), 2, "total", QUICK)
-        assert (res.status, res.nodes_explored) == ("none", 939_492)
+        assert (res.status, res.nodes_explored) == ("none", 241_127)
 
     @pytest.mark.parametrize("kind,n,value,nodes,edge_labels", [
         ("wheel", 4, 3, 15_983, (2, 4, 5, 7, 6, 3, 1, 8)),
@@ -292,12 +294,12 @@ class TestSearchTree:
     def test_family_orbit_solve(self, kind, n, value, nodes, labels):
         # the orbit's later slots start above the representative's label
         spec = FamilySpec(kind, (n,))
-        res = solve_min_distinct(generate(spec), "total", QUICK, family=spec)
+        res = solve_min_distinct(generate(spec), "total", QUICK)
         assert (res.status, res.value, res.nodes_explored) == ("exact", value, nodes)
         assert res.certificate == Labeling(*labels)
 
     @pytest.mark.parametrize("kind,n,pruned,plain", [
-        ("cycle", 4, 2_150, 3_196), ("path", 4, 8_196, 12_037),
+        ("cycle", 4, 6_278, 3_196), ("path", 4, 8_196, 12_037),
         ("k2_plus_empty", 2, 148, 188),
     ])
     def test_pruning_on_and_off(self, kind, n, pruned, plain):
@@ -347,6 +349,49 @@ class TestSearchTree:
                             .read_text())[name]
         labs = iter_valid_labelings(fam(kind, n), mode, 50)
         assert [list(lab.labels) for lab in labs] == golden
+
+
+class TestOrbit:
+    """The orbit cut is read off the graph, however the graph was made."""
+
+    def test_orbits_read_off_the_graph(self):
+        c5 = Graph.from_edges(5, [(0, 2), (2, 4), (4, 1), (1, 3), (3, 0)])  # shuffled C5
+        assert c5 != fam("cycle", 5)
+        assert _orbit(c5, SearchMode.TOTAL) == (5, 6, 7, 8, 9)
+        assert _orbit(c5, SearchMode.EDGE) == (0, 1, 2, 3, 4)
+        k4 = fam("complete", 4)
+        assert _orbit(k4, SearchMode.TOTAL) == (0, 1, 2, 3)
+        assert _orbit(k4, SearchMode.EDGE) == (0, 1, 2, 3, 4, 5)
+
+    @pytest.mark.parametrize("g,mode", [
+        (fam("complete", 1), SearchMode.TOTAL), (fam("complete", 2), SearchMode.EDGE),
+        (fam("path", 4), SearchMode.TOTAL), (fam("path", 4), SearchMode.EDGE),
+        (Graph.from_edges(4, fam("complete", 4).edges[1:]), SearchMode.TOTAL),
+        (Graph.from_edges(4, fam("complete", 4).edges[1:]), SearchMode.EDGE),
+        (disjoint_union(fam("cycle", 3), fam("cycle", 5)), SearchMode.TOTAL),
+        (disjoint_union(fam("cycle", 3), fam("cycle", 5)), SearchMode.EDGE),
+    ])
+    def test_no_orbit(self, g, mode):
+        assert _orbit(g, mode) == ()
+
+    def test_two_cycles_are_not_one(self):
+        # C3 ∪ C5 is 2-regular, but no automorphism maps an edge of the C3
+        # onto one of the C5: one orbit over all eight edges loses the
+        # optimum, and the search then answers exact 4
+        g = disjoint_union(fam("cycle", 3), fam("cycle", 5))
+        res = solve_min_distinct(g, "edge", QUICK)
+        assert (res.status, res.value, res.nodes_explored) == ("exact", 3, 4_006)
+
+    @pytest.mark.parametrize("mode,nodes", [("total", 6), ("edge", 3)])
+    def test_k3_same_tree_under_either_orbit(self, monkeypatch, mode, nodes):
+        # K3 is both a cycle and a complete graph: its vertex orbit and its
+        # edge orbit give the same tree
+        k3 = fam("complete", 3)
+        res = solve_min_distinct(k3, mode, QUICK)
+        monkeypatch.setattr(solver, "_orbit", lambda g, mode: tuple(
+            range(g.p, g.p + g.q) if mode is SearchMode.TOTAL else range(g.q)))
+        assert solve_min_distinct(k3, mode, QUICK) == res
+        assert res.nodes_explored == nodes
 
 
 class TestIterValidLabelings:

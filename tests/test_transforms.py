@@ -116,9 +116,9 @@ class TestDoubleConeCollapse:
                 continue
             out, f = double_cone_collapse(dc, g, (4, 5))
             assert out == w4
-            prof = verify(out, f).profile
-            assert prof.valid
-            assert prof.weights[:4] == w[:4]
+            report = verify(out, f)
+            assert report.valid
+            assert report.profile.weights[:4] == w[:4]
             assert sorted(f.vertex_labels + f.edge_labels) == list(range(1, 14))
             done += 1
         assert done >= 20
