@@ -3,11 +3,13 @@
 `tests/data/atlas5_tree.json` holds, for every networkx atlas graph on at
 most 5 vertices in both modes, the `solve_min_distinct` result at a
 40,000-node budget, and the results of four anchor searches cut at node
-budgets that land inside runs of labels rejected for adding a weight.  A
-faster search core must reproduce every status, bound, node count and
-witness, also under a time budget far above the searches' length, where
-reading the clock must change nothing.  To print each record that a
-change of search moves (its key, then old -> new), writing nothing, run
+budgets that land inside runs of labels rejected for adding a weight, or
+past the end of the search (W5 in edge mode closes at 359 nodes, W4 at
+k=3 at 3,383).  A faster search core must reproduce every status, bound,
+node count and witness, also under a time budget far above the searches'
+length, where reading the clock must change nothing.  To print each
+record that a change of search moves (its key, then old -> new), writing
+nothing, run
 
     PYTHONPATH=src python tests/test_atlas_tree.py --diff
 
@@ -21,7 +23,8 @@ from pathlib import Path
 
 import pytest
 
-from latlab import FamilySpec, Graph, SolveBudget, find_with_at_most_k, generate, solve_min_distinct
+from latlab import (FamilySpec, Graph, SolveBudget, chi_lat_lower_bound, find_with_at_most_k,
+                    generate, solve_min_distinct, verify)
 
 GOLDEN = Path(__file__).parent / "data" / "atlas5_tree.json"
 ATLAS_NODES = 40_000
@@ -121,6 +124,18 @@ def test_time_budget_leaves_the_results_unchanged():
     golden = json.loads(GOLDEN.read_text())
     assert atlas_records(FAR_MILLIS) == golden["atlas"]
     assert cut_records(FAR_MILLIS) == golden["cuts"]
+
+
+def test_every_graph_on_1_to_5_vertices_closes_at_3m_nodes():
+    # total mode; the slowest, atlas 48, closes after 1,724,026 nodes
+    nx = pytest.importorskip("networkx")
+    for i, G in enumerate(nx.graph_atlas_g()[1:53], start=1):
+        g = Graph.from_edges(G.number_of_nodes(), G.edges())
+        res = solve_min_distinct(g, "total", SolveBudget(max_nodes=3_000_000))
+        assert res.status == "exact", i
+        report = verify(g, res.certificate)
+        assert report.valid and report.profile.distinct_count == res.value, i
+        assert res.value >= chi_lat_lower_bound(g), i
 
 
 if __name__ == "__main__":

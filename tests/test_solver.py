@@ -12,7 +12,7 @@ from latlab import (FamilySpec, Graph, IntegrityError, Labeling, ParameterError,
                     SolveBudget, TooLargeError, disjoint_union, find_with_at_most_k,
                     generate, iter_valid_labelings, solve_min_distinct, verify)
 from latlab import solver
-from latlab.solver import SearchMode, _orbit, _Search, _slot_model, _slot_order
+from latlab.solver import SearchMode, _orbit, _Search, _slot_order
 from oracle import brute_force_min_distinct
 
 QUICK = SolveBudget(max_nodes=50_000_000, max_millis=120_000)
@@ -225,9 +225,9 @@ class TestFindWithAtMostK:
         # set-up that outlasts the budget leaves no time for a single node
         slot_order = solver._slot_order
 
-        def slow_slot_order(g, mode, deadline):
+        def slow_slot_order(g, mode):
             time.sleep(0.1)
-            return slot_order(g, mode, deadline)
+            return slot_order(g, mode)
 
         monkeypatch.setattr(solver, "_slot_order", slow_slot_order)
         res = find_with_at_most_k(fam("cycle", 5), 2, "total", SolveBudget(max_millis=50))
@@ -246,16 +246,10 @@ class TestFindWithAtMostK:
         res = solve_min_distinct(fam("cycle", 5), "total", SolveBudget(max_millis=50))
         assert (res.status, res.nodes_explored) == ("exhausted", 0)
 
-    def test_slot_ordering_stops_at_the_deadline(self):
-        # ordering the 1,830 slots of K60 takes far longer than 1 ms
+    def test_dense_set_up_outlasts_a_1ms_budget(self):
+        # setting up the 1,830 slots of K60 takes several milliseconds
         res = find_with_at_most_k(fam("complete", 60), 60, "total", SolveBudget(max_millis=1))
         assert (res.status, res.nodes_explored) == ("unknown", 0)
-        # a passed deadline stops the ordering at its first check and
-        # leaves the unplaced slots in index order
-        p600 = fam("path", 600)
-        order = _slot_order(p600, SearchMode.TOTAL, time.monotonic())
-        assert order[:1_024] == _slot_order(p600, SearchMode.TOTAL)[:1_024]
-        assert order[1_024:] == sorted(set(range(600 + 599)) - set(order[:1_024]))
 
 
 class TestSearchTree:
@@ -270,7 +264,7 @@ class TestSearchTree:
     budget, and a deadline found passed stops the search at that node.
     Cycles and complete graphs get the orbit cut from the graph itself,
     whether built by `generate` or read from a file.  The counts and
-    witnesses below are those of the original per-node method search, so
+    witnesses below are those of the most-constrained-first slot order, so
     a faster search core must reproduce them exactly."""
 
     def test_c5_total_at_2_none(self):
@@ -278,7 +272,7 @@ class TestSearchTree:
         assert (res.status, res.nodes_explored) == ("none", 241_127)
 
     @pytest.mark.parametrize("kind,n,value,nodes,edge_labels", [
-        ("wheel", 4, 3, 15_983, (2, 4, 5, 7, 6, 3, 1, 8)),
+        ("wheel", 4, 3, 8_107, (7, 3, 1, 2, 6, 4, 5, 8)),
         ("complete", 4, 4, 6, (1, 2, 3, 4, 5, 6)),
     ])
     def test_edge_mode_solve(self, kind, n, value, nodes, edge_labels):
@@ -299,8 +293,8 @@ class TestSearchTree:
         assert res.certificate == Labeling(*labels)
 
     @pytest.mark.parametrize("kind,n,pruned,plain", [
-        ("cycle", 4, 6_278, 3_196), ("path", 4, 8_196, 12_037),
-        ("k2_plus_empty", 2, 148, 188),
+        ("cycle", 4, 6_278, 3_196), ("path", 4, 8_217, 12_061),
+        ("k2_plus_empty", 2, 19, 21),
     ])
     def test_pruning_on_and_off(self, kind, n, pruned, plain):
         g = fam(kind, n)
@@ -308,13 +302,14 @@ class TestSearchTree:
         assert solve_min_distinct(g, "total", QUICK, pruning=False).nodes_explored == plain
 
     def test_budget_stop_counts_the_refused_node(self):
-        res = find_with_at_most_k(fam("wheel", 4), 3, "total", SolveBudget(max_nodes=100_000))
-        assert (res.status, res.nodes_explored) == ("unknown", 100_001)
+        # W4 at k=3 closes at 3,383 nodes; node 2,001 is a refused label
+        res = find_with_at_most_k(fam("wheel", 4), 3, "total", SolveBudget(max_nodes=2_000))
+        assert (res.status, res.nodes_explored) == ("unknown", 2_001)
 
     @pytest.mark.parametrize("reads,status,nodes,labels", [
-        (3, "lower_upper", 1_024, (1, 3, 5, 7, 9, 11, 2, 4, 6, 8, 10)),
-        (7, "lower_upper", 5_120, (1, 3, 5, 7, 9, 11, 2, 4, 6, 8, 10)),
-        (40, "lower_upper", 38_912, (1, 3, 9, 6, 11, 8, 2, 10, 4, 5, 7)),
+        (3, "lower_upper", 1_024, (8, 1, 4, 7, 6, 11, 3, 2, 5, 9, 10)),
+        (7, "lower_upper", 5_120, (8, 1, 4, 7, 6, 11, 3, 2, 5, 9, 10)),
+        (40, "lower_upper", 38_912, (8, 1, 4, 7, 6, 11, 3, 2, 5, 9, 10)),
         (4, "unknown", 2_048, None),
     ])
     def test_deadline_is_read_every_1024_nodes(self, monkeypatch, reads, status, nodes, labels):
@@ -333,13 +328,13 @@ class TestSearchTree:
         assert (res.status, res.nodes_explored, cert and cert.labels) == (status, nodes, labels)
 
     def test_incumbent_refuses_at_slots_completing_no_vertex(self):
-        # networkx atlas graph 22, 2K2 + K1: after the first witness lowers
-        # the allowed count, a slot completing no vertex refuses every label
-        # until backing up lowers the count (accepting them gives 1,115 nodes)
-        res = solve_min_distinct(Graph.from_edges(5, [(0, 2), (3, 4)]), "total",
-                                 SolveBudget(max_nodes=40_000))
-        assert (res.status, res.value, res.nodes_explored) == ("exact", 2, 1_111)
-        assert res.certificate.labels == (1, 5, 6, 2, 7, 4, 3)
+        # networkx atlas graph 120: after the first witness lowers the
+        # allowed count, a slot completing no vertex refuses every label
+        # until backing up lowers the count (accepting them gives 143 nodes)
+        g = Graph.from_edges(6, [(0, 4), (0, 5), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)])
+        res = solve_min_distinct(g, "total", SolveBudget(max_nodes=40_000))
+        assert (res.status, res.value, res.nodes_explored) == ("exact", 3, 139)
+        assert res.certificate.labels == (8, 13, 10, 6, 1, 12, 5, 11, 7, 3, 9, 4, 2)
 
     @pytest.mark.parametrize("name,kind,n,mode", [
         ("c5_total", "cycle", 5, "total"), ("w4_edge", "wheel", 4, "edge"),
@@ -412,27 +407,21 @@ class TestIterValidLabelings:
         assert len(iter_valid_labelings(fam("complete", 2), "total", 50)) == 6
 
 
-def greedy_slot_order(g, mode):
-    """The slot order by a full scan of every slot per placement: the
-    reference for the heap in `_slot_order`."""
-    n, vslots, touches = _slot_model(g, mode)
-    need = [len(s) for s in vslots]
-    placed = [False] * n
+def full_scan_slot_order(g, mode):
+    """The slot order by a full scan of every unordered vertex per step:
+    the reference for the heap in `_slot_order`."""
+    vorder = []
+    for _ in range(g.p):
+        v = min((v for v in range(g.p) if v not in vorder),
+                key=lambda v: (-sum(u in vorder for u in g.neighbors(v)), -g.degree(v), v))
+        vorder.append(v)
+    base = g.p if mode is SearchMode.TOTAL else 0
     order = []
-    for _ in range(n):
-        best_s, best_key = None, None
-        for s in range(n):
-            if placed[s]:
-                continue
-            completes = sum(1 for v in touches[s] if need[v] == 1)
-            closeness = min((need[v] - 1 for v in touches[s]), default=n + 1)
-            key = (-completes, closeness, s)
-            if best_key is None or key < best_key:
-                best_s, best_key = s, key
-        placed[best_s] = True
-        order.append(best_s)
-        for v in touches[best_s]:
-            need[v] -= 1
+    for i, v in enumerate(vorder):
+        if mode is SearchMode.TOTAL:
+            order.append(v)
+        order += [base + g.edges.index((min(u, v), max(u, v)))
+                  for u in vorder[i + 1:] if g.has_edge(u, v)]
     return order
 
 
@@ -450,4 +439,4 @@ def test_slot_order_is_a_permutation():
             n = g.p + g.q if mode is SearchMode.TOTAL else g.q
             order = _slot_order(g, mode)
             assert sorted(order) == list(range(n))
-            assert order == greedy_slot_order(g, mode)
+            assert order == full_scan_slot_order(g, mode)
