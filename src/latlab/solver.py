@@ -3,6 +3,8 @@
 solve_min_distinct / find_with_at_most_k run a pruned backtracking search
 over label slots, filled in a static order that completes the most
 constrained vertex first; iter_valid_labelings lists labelings in its order.
+With pruning, solve_min_distinct first looks for a witness at the lower
+bound by a short seeded annealing pass over label permutations.
 """
 
 from __future__ import annotations
@@ -21,6 +23,8 @@ from .graph import Graph
 from .labeling import Labeling, check
 
 _WEIGHT_TABLE_LIMIT = 10_000_000  # 80 MB of per-weight counts
+_ANNEAL_MOVES = 4_096  # most moves of the witness search before the tree; 0 skips it
+_MOVE_NODES = 8  # search nodes charged per move
 
 
 class SearchMode(str, Enum):
@@ -159,14 +163,12 @@ class _Search:
         if heaviest > _WEIGHT_TABLE_LIMIT:
             raise TooLargeError(f"vertex weights up to {heaviest} exceed the "
                                 f"weight table limit {_WEIGHT_TABLE_LIMIT}")
-        self.wcount = [0] * (heaviest + 1)  # vertices per weight
+        self.heaviest = heaviest
+        self.g, self.vslots, self.touches = g, vslots, touches
         order = _slot_order(g, mode)
         self.assign = [0] * n
         # a slot touching one vertex also adds to the spare wpart[p], never read
         self.wpart = [0] * (g.p + 1)
-        # vertices with no contributing slots (isolated, edge mode) weigh 0
-        self.wcount[0] = sum(1 for s in vslots if not s)
-        self.distinct = int(self.wcount[0] > 0)
         self.nodes = 0
         self.cut = False  # set when the budget stopped the search
         self.pruning = pruning
@@ -194,17 +196,21 @@ class _Search:
         """Yield the distinct-weight count of every complete labeling, in
         ascending label order, leaving the labeling in `assign` until
         resumed; `allowed` is read again after each yield.  Each free label
-        tried at a slot counts one node; `cut` is set when the budget stops
-        the search.  With pruning, a label that would add a weight past
+        tried at a slot counts one node, on top of the `nodes` already
+        charged; `cut` is set when the budget stops the search.  The weight
+        table is made here, so a solve the witness search closes never
+        makes it.  With pruning, a label that would add a weight past
         `allowed` is refused by one `wcount` read, unapplied, and still
         counts its node, so the tree is that of applying it; once the count
         is already past `allowed`, every label is refused that way."""
         if self.deadline is not None and time.monotonic() > self.deadline:
             self.cut = True  # set-up outlasted the budget: search no node
             return
-        n, steps, assign, wpart, wcount = (self.n, self.steps, self.assign,
-                                           self.wpart, self.wcount)
-        pruning, distinct = self.pruning, self.distinct
+        n, steps, assign, wpart = self.n, self.steps, self.assign, self.wpart
+        wcount = [0] * (self.heaviest + 1)  # vertices per weight
+        # vertices with no contributing slots (isolated, edge mode) weigh 0
+        wcount[0] = sum(1 for s in self.vslots if not s)
+        pruning, distinct = self.pruning, int(wcount[0] > 0)
         allowed = self.allowed if pruning else sys.maxsize
         limit = self.max_nodes if self.max_nodes is not None else sys.maxsize
         deadline, monotonic, nodes = self.deadline, time.monotonic, self.nodes
@@ -294,14 +300,124 @@ class _Search:
             nxt[prv[label]], prv[nxt[label]] = nxt[label], prv[label]
             depth += 1
 
+    def anneal(self, lower, moves):
+        """Look for a labeling with `lower` weights by simulated annealing
+        (Kirkpatrick, Gelatt & Vecchi 1983) before any node is searched.
+
+        From a fixed-seed shuffle of the labels, a move swaps the labels of
+        two slots and touches only their vertices and those vertices'
+        edges.  A labeling scores 2 per adjacent pair of equal weights plus
+        1 per vertex outside the `lower` largest weight classes, so 0 is a
+        witness.  At most `moves` moves, each charged to `nodes`, are
+        accepted by the Metropolis rule as the temperature falls
+        geometrically; the clock is read before the first and then every
+        1,024.  Returns the fewest weights of a valid labeling met and its
+        slot labels, or (None, None)."""
+        deadline, monotonic = self.deadline, time.monotonic
+        if deadline is not None and monotonic() > deadline:
+            return None, None
+        from math import exp
+        g, n, p, touches = self.g, self.n, self.g.p, self.touches
+        nbrs = [g.neighbors(v) for v in range(p)]
+        seed = 1
+
+        def rand(m):  # uniform in [0, m), by a 64-bit LCG (Knuth's MMIX constants)
+            nonlocal seed
+            seed = (seed * 6364136223846793005 + 1442695040888963407) & 0xFFFF_FFFF_FFFF_FFFF
+            return (seed >> 32) * m >> 32
+
+        # size[w] vertices weigh w; hist[k] classes hold k vertices, hist[0]
+        # counting more empty ones than `lower`; `top` vertices lie in the
+        # `lower` largest classes, the smallest of which holds t, and
+        # `above` classes hold more than t.  Every vertex starts at weight 0.
+        wt, size, hist = [0] * p, {0: p}, [lower + p] + [0] * p
+        hist[p], equal = 1, g.q
+        top, t, above = p, (p if lower == 1 else 0), int(lower > 1)
+
+        def shift(v, d):  # v's weight moves by d != 0
+            nonlocal equal, t, above, top
+            w = wt[v]
+            wt[v] = x = w + d
+            for u in nbrs[v]:
+                y = wt[u]
+                if y == w:
+                    equal -= 1
+                elif y == x:
+                    equal += 1
+            k = size.pop(w)  # w's class loses v
+            if k > 1:
+                size[w] = k - 1
+            top -= k > t or (k == t and hist[t] == lower - above)
+            above -= k == t + 1
+            hist[k] -= 1
+            hist[k - 1] += 1
+            while above + hist[t] < lower:
+                above += hist[t]
+                t -= 1
+            k = size.get(x, 0)  # x's class gains v
+            size[x] = k + 1
+            top += k >= t
+            above += k == t
+            hist[k] -= 1
+            hist[k + 1] += 1
+            while above >= lower:
+                t += 1
+                above -= hist[t]
+
+        def swap(a, b):  # a second swap of the same slots undoes the first
+            d = lab[b] - lab[a]
+            lab[a], lab[b] = lab[b], lab[a]
+            ta, tb = touches[a], touches[b]
+            for v in ta:
+                if v not in tb:  # a vertex fed by both keeps its weight
+                    shift(v, d)
+            for v in tb:
+                if v not in ta:
+                    shift(v, -d)
+
+        lab = list(range(1, n + 1))
+        for i in range(n - 1, 0, -1):
+            j = rand(i + 1)
+            lab[i], lab[j] = lab[j], lab[i]
+        for v, slots in enumerate(self.vslots):
+            if slots:
+                shift(v, sum(lab[s] for s in slots))
+        score = 2 * equal + p - top
+        best, best_lab = (len(size), lab[:]) if not equal else (None, None)
+        temp, cool = 0.25, 0.04 ** (1.0 / moves)  # from 0.25 down to 0.01
+        made = 0
+        while made < moves and (best is None or best > lower):
+            if made and not made & 1023 and deadline is not None and monotonic() > deadline:
+                break
+            made += 1
+            a, b = rand(n), rand(n - 1)
+            b += b >= a
+            swap(a, b)
+            new = 2 * equal + p - top
+            temp *= cool
+            if new <= score or rand(1 << 32) < exp((score - new) / temp) * 2.0 ** 32:
+                score = new
+                if not equal and (best is None or len(size) < best):
+                    best, best_lab = len(size), lab[:]
+            else:
+                swap(a, b)
+        self.nodes = made * _MOVE_NODES
+        return best, best_lab
+
 
 def solve_min_distinct(g: Graph, mode: SearchMode, budget: SolveBudget = GENEROUS_BUDGET,
                        pruning: bool = True) -> SolveResult:
-    """Minimum distinct-weight count by branch and bound.
+    """Minimum distinct-weight count: a witness search, then branch and bound.
 
-    Returns an exact value with a verified certificate when the search
-    closes; budget exhaustion yields bounds (or exhausted), never a wrong
-    exact answer.
+    With pruning, `_Search.anneal` first makes at most min(4,096,
+    max_nodes // 32) moves, each charged as 8 nodes, and none that would
+    take over a quarter of the whole tree's nodes.  A labeling it finds
+    with as many weights as the lower bound is the answer; otherwise its
+    best valid labeling is the incumbent, and the exhaustive search looks
+    only for one with fewer weights, with the rest of the budget.  Returns
+    an exact value with a verified certificate when the search closes;
+    budget exhaustion yields bounds (or exhausted), never a wrong exact
+    answer.
     """
     mode = SearchMode(mode)
     if mode is SearchMode.EDGE and _has_isolated_edge(g):
@@ -310,7 +426,20 @@ def solve_min_distinct(g: Graph, mode: SearchMode, budget: SolveBudget = GENEROU
     lower = max(1, chi_lat_lower_bound(g) if mode is SearchMode.TOTAL
                 else chromatic_lower_bound(g))
     best = assign = None
-    for d in srch.labelings():
+    # the moves take at most a quarter of the node budget, and of the nodes
+    # of the whole tree, n + n(n-1) + ... + n!, which a tiny search covers
+    span, tree, step = 4 * _MOVE_NODES * _ANNEAL_MOVES, 0, 1
+    for k in range(srch.n, 0, -1):
+        step *= k
+        tree += step
+        if tree >= span:
+            break
+    moves = min(span, tree, budget.max_nodes or span) // (4 * _MOVE_NODES)
+    if pruning and moves:
+        best, assign = srch.anneal(lower, moves)
+        if best is not None:
+            srch.allowed = best - 1
+    for d in srch.labelings() if best is None or best > lower else ():
         if best is None or d < best:
             best, assign = d, list(srch.assign)
             srch.allowed = d - 1

@@ -5,8 +5,10 @@ most 5 vertices in both modes, the `solve_min_distinct` result at a
 40,000-node budget, and the results of four anchor searches cut at node
 budgets that land inside runs of labels rejected for adding a weight, or
 past the end of the search (W5 in edge mode closes at 359 nodes, W4 at
-k=3 at 3,383).  A faster search core must reproduce every status, bound,
-node count and witness, also under a time budget far above the searches'
+k=3 at 3,383).  These pin the exhaustive tree, so they are taken with the
+annealing witness search off; `atlas_phase` holds the atlas results with
+it on.  A faster search core must reproduce every status, bound, node
+count and witness, also under a time budget far above the searches'
 length, where reading the clock must change nothing.  To print each
 record that a change of search moves (its key, then old -> new), writing
 nothing, run
@@ -19,12 +21,14 @@ Regenerate the file (only from a commit whose tree is trusted) with
 """
 
 import json
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
 
 from latlab import (FamilySpec, Graph, SolveBudget, chi_lat_lower_bound, find_with_at_most_k,
                     generate, solve_min_distinct, verify)
+from latlab import solver
 
 GOLDEN = Path(__file__).parent / "data" / "atlas5_tree.json"
 ATLAS_NODES = 40_000
@@ -36,6 +40,17 @@ ANCHORS = (("w4_total_k3", "wheel", 4, "total", 3), ("c5_total_k2", "cycle", 5, 
            ("p6_total_solve", "path", 6, "total", None))
 
 
+@contextmanager
+def witness_phase(on):
+    """Run with the annealing pass before the tree search on, or off."""
+    moves = solver._ANNEAL_MOVES
+    solver._ANNEAL_MOVES = moves if on else 0
+    try:
+        yield
+    finally:
+        solver._ANNEAL_MOVES = moves
+
+
 def _labels(cert):
     return None if cert is None else list(cert.labels)
 
@@ -45,32 +60,35 @@ def _solve_record(res):
             "nodes": res.nodes_explored, "labels": _labels(res.certificate)}
 
 
-def atlas_records(max_millis=None):
+def atlas_records(max_millis=None, phase=False):
     import networkx as nx
     records = []
-    for i, G in enumerate(nx.graph_atlas_g()):
-        if G.number_of_nodes() > 5:
-            break
-        g = Graph.from_edges(G.number_of_nodes(), G.edges())
-        for mode in ("total", "edge"):
-            res = solve_min_distinct(g, mode, SolveBudget(max_nodes=ATLAS_NODES, max_millis=max_millis))
-            records.append({"atlas": i, "mode": mode, **_solve_record(res)})
+    with witness_phase(phase):
+        for i, G in enumerate(nx.graph_atlas_g()):
+            if G.number_of_nodes() > 5:
+                break
+            g = Graph.from_edges(G.number_of_nodes(), G.edges())
+            for mode in ("total", "edge"):
+                budget = SolveBudget(max_nodes=ATLAS_NODES, max_millis=max_millis)
+                records.append({"atlas": i, "mode": mode,
+                                **_solve_record(solve_min_distinct(g, mode, budget))})
     return records
 
 
 def cut_records(max_millis=None):
     records = []
-    for name, kind, order, mode, k in ANCHORS:
-        g = generate(FamilySpec(kind, (order,)))
-        for limit in CUTS:
-            budget = SolveBudget(max_nodes=limit, max_millis=max_millis)
-            if k is None:
-                record = _solve_record(solve_min_distinct(g, mode, budget))
-            else:
-                res = find_with_at_most_k(g, k, mode, budget)
-                record = {"status": res.status, "nodes": res.nodes_explored,
-                          "labels": _labels(res.certificate)}
-            records.append({"anchor": name, "max_nodes": limit, **record})
+    with witness_phase(False):
+        for name, kind, order, mode, k in ANCHORS:
+            g = generate(FamilySpec(kind, (order,)))
+            for limit in CUTS:
+                budget = SolveBudget(max_nodes=limit, max_millis=max_millis)
+                if k is None:
+                    record = _solve_record(solve_min_distinct(g, mode, budget))
+                else:
+                    res = find_with_at_most_k(g, k, mode, budget)
+                    record = {"status": res.status, "nodes": res.nodes_explored,
+                              "labels": _labels(res.certificate)}
+                records.append({"anchor": name, "max_nodes": limit, **record})
     return records
 
 
@@ -78,10 +96,12 @@ def diff_lines(golden, fresh):
     """One line per record of `fresh` that differs from `golden`: the
     record's key, then each changed field as old -> new."""
     lines = []
-    for part, keys in (("atlas", ("atlas", "mode")), ("cuts", ("anchor", "max_nodes"))):
-        if len(golden[part]) != len(fresh[part]):
-            lines.append(f"{part}: {len(golden[part])} -> {len(fresh[part])} records")
-        for old, new in zip(golden[part], fresh[part]):
+    for part, keys in (("atlas", ("atlas", "mode")), ("atlas_phase", ("atlas", "mode")),
+                       ("cuts", ("anchor", "max_nodes"))):
+        old_part, new_part = golden.get(part, []), fresh.get(part, [])
+        if len(old_part) != len(new_part):
+            lines.append(f"{part}: {len(old_part)} -> {len(new_part)} records")
+        for old, new in zip(old_part, new_part):
             if old != new:
                 key = f"{keys[0]} {new[keys[0]]} {keys[1]} {new[keys[1]]}"
                 moves = [f"{field} {old.get(field)} -> {value}"
@@ -109,6 +129,13 @@ def test_atlas_matches_golden():
     assert atlas_records() == golden
 
 
+def test_atlas_with_the_witness_search_matches_golden():
+    pytest.importorskip("networkx")
+    golden = json.loads(GOLDEN.read_text())["atlas_phase"]
+    assert len(golden) == 2 * 53
+    assert atlas_records(phase=True) == golden
+
+
 def test_budget_cuts_match_golden():
     golden = json.loads(GOLDEN.read_text())["cuts"]
     records = cut_records()
@@ -123,11 +150,13 @@ def test_time_budget_leaves_the_results_unchanged():
     pytest.importorskip("networkx")
     golden = json.loads(GOLDEN.read_text())
     assert atlas_records(FAR_MILLIS) == golden["atlas"]
+    assert atlas_records(FAR_MILLIS, phase=True) == golden["atlas_phase"]
     assert cut_records(FAR_MILLIS) == golden["cuts"]
 
 
 def test_every_graph_on_1_to_5_vertices_closes_at_3m_nodes():
-    # total mode; the slowest, atlas 48, closes after 1,724,026 nodes
+    # total mode; the slowest, atlas 28, closes after 285,833 nodes (with
+    # the witness search off, atlas 48 after 1,724,026)
     nx = pytest.importorskip("networkx")
     for i, G in enumerate(nx.graph_atlas_g()[1:53], start=1):
         g = Graph.from_edges(G.number_of_nodes(), G.edges())
@@ -138,9 +167,30 @@ def test_every_graph_on_1_to_5_vertices_closes_at_3m_nodes():
         assert res.value >= chi_lat_lower_bound(g), i
 
 
+def test_connected_6_vertex_graphs_closing_at_100k_nodes():
+    # total mode: the witness search closes most of them; these stay cut
+    # short (54 of the 112 closed with the search tree alone)
+    nx = pytest.importorskip("networkx")
+    closed, cut = 0, []
+    for i, G in enumerate(nx.graph_atlas_g()):
+        if G.number_of_nodes() != 6 or not nx.is_connected(G):
+            continue
+        g = Graph.from_edges(6, G.edges())
+        res = solve_min_distinct(g, "total", SolveBudget(max_nodes=100_000))
+        report = verify(g, res.certificate)
+        assert report.valid and report.profile.distinct_count == res.upper, i
+        assert res.upper >= chi_lat_lower_bound(g), i
+        if res.status == "exact":
+            closed += 1
+        else:
+            cut.append(i)
+    assert (closed, cut) == (105, [79, 99, 138, 146, 163, 167, 175])
+
+
 if __name__ == "__main__":
     import sys
-    fresh = {"atlas": atlas_records(), "cuts": cut_records()}
+    fresh = {"atlas": atlas_records(), "atlas_phase": atlas_records(phase=True),
+             "cuts": cut_records()}
     if sys.argv[1:] == ["--diff"]:
         for line in diff_lines(json.loads(GOLDEN.read_text()), fresh):
             print(line)

@@ -74,8 +74,10 @@ def test_exact_entry_is_served_to_any_budget(tmp_path):
 
 def test_atlas_retries_a_cut_short_entry_under_a_larger_budget(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path / "cache"))
-    source = tmp_path / "c5.g6"
-    source.write_text(graph6_encode(generate(FamilySpec("cycle", (5,)))) + "\n")
+    # P4 needs 3 weights against a lower bound of 2, so no witness search
+    # closes it: only the search tree proves 3, given the nodes
+    source = tmp_path / "p4.g6"
+    source.write_text(graph6_encode(generate(FamilySpec("path", (4,)))) + "\n")
 
     def atlas(max_nodes):
         assert main(["atlas", str(source), "--mode", "total", "--json",

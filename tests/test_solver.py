@@ -18,6 +18,12 @@ from oracle import brute_force_min_distinct
 QUICK = SolveBudget(max_nodes=50_000_000, max_millis=120_000)
 
 
+@pytest.fixture
+def no_phase(monkeypatch):
+    """The annealing witness search off, so solves search the pinned tree."""
+    monkeypatch.setattr(solver, "_ANNEAL_MOVES", 0)
+
+
 def fam(kind, *params):
     return generate(FamilySpec(kind, params))
 
@@ -149,6 +155,7 @@ class TestSolve:
     def test_closed_search_without_labeling_is_a_bug(self, monkeypatch):
         # every graph has a local antimagic total labeling, so a search that
         # closes without one is a solver fault, not an "infeasible" answer
+        monkeypatch.setattr(_Search, "anneal", lambda self, lower, moves: (None, None))
         monkeypatch.setattr(_Search, "labelings", lambda self: iter(()))
         with pytest.raises(IntegrityError, match="found no labeling"):
             solve_min_distinct(fam("cycle", 4), "total", QUICK)
@@ -222,7 +229,8 @@ class TestFindWithAtMostK:
             find_with_at_most_k(fam("cycle", 3), 0, "total", QUICK)
 
     def test_time_budget_covers_slot_ordering(self, monkeypatch):
-        # set-up that outlasts the budget leaves no time for a single node
+        # set-up that outlasts the budget leaves no time for a single node,
+        # nor for a move of the witness search, which would find C5's 3
         slot_order = solver._slot_order
 
         def slow_slot_order(g, mode):
@@ -252,8 +260,10 @@ class TestFindWithAtMostK:
         assert (res.status, res.nodes_explored) == ("unknown", 0)
 
 
+@pytest.mark.usefixtures("no_phase")
 class TestSearchTree:
-    """The search tree is pinned: labels tried in ascending order, one node
+    """The search tree is pinned, with the witness search off (its moves
+    would be charged as nodes too): labels tried in ascending order, one node
     per free label tried, the budget checked before the weight conflict.
     A label that would add a weight past the allowed count is refused by
     one weight-table read instead of being applied, and still counts one
@@ -346,6 +356,7 @@ class TestSearchTree:
         assert [list(lab.labels) for lab in labs] == golden
 
 
+@pytest.mark.usefixtures("no_phase")
 class TestOrbit:
     """The orbit cut is read off the graph, however the graph was made."""
 
@@ -387,6 +398,89 @@ class TestOrbit:
             range(g.p, g.p + g.q) if mode is SearchMode.TOTAL else range(g.q)))
         assert solve_min_distinct(k3, mode, QUICK) == res
         assert res.nodes_explored == nodes
+
+
+class TestWitnessPhase:
+    """With pruning, solve_min_distinct first anneals over label
+    permutations, at most min(4,096, max_nodes // 32) moves charged as 8
+    nodes each; a labeling at the lower bound ends the solve there."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """(lower, moves, best) of every witness search, in call order."""
+        calls, anneal = [], _Search.anneal
+
+        def recorded(self, lower, moves):
+            best, labels = anneal(self, lower, moves)
+            calls.append((lower, moves, best))
+            return best, labels
+
+        monkeypatch.setattr(_Search, "anneal", recorded)
+        return calls
+
+    @pytest.mark.parametrize("kind,n,budget,status,nodes,labels", [
+        ("wheel", 4, 100_000, "exact", 688, (3, 7, 2, 10, 5, 1, 11, 9, 12, 13, 4, 6, 8)),
+        ("cycle", 5, 100_000, "exact", 392, (2, 6, 4, 5, 9, 7, 8, 3, 10, 1)),
+        ("path", 4, 2_000, "lower_upper", 2_001, None),
+    ])
+    def test_same_graph_same_witness_and_nodes(self, kind, n, budget, status, nodes, labels):
+        # W4 and C5 close in the witness search; P4 (3 weights, bound 2) cannot
+        first, again = (solve_min_distinct(fam(kind, n), "total", SolveBudget(max_nodes=budget))
+                        for _ in range(2))
+        assert first == again
+        assert (first.status, first.nodes_explored) == (status, nodes)
+        if labels is not None:
+            assert first.certificate.labels == labels
+
+    @pytest.mark.parametrize("max_nodes,status", [
+        (1, "exhausted"), (7, "exhausted"), (31, "lower_upper"), (32, "lower_upper"),
+    ])
+    def test_node_budget_still_stops_at_max_nodes_plus_one(self, max_nodes, status):
+        # below 32 nodes no move is made; at 32 one, charged 8 nodes
+        res = solve_min_distinct(fam("cycle", 7), "total", SolveBudget(max_nodes=max_nodes))
+        assert (res.status, res.nodes_explored) == (status, max_nodes + 1)
+
+    def test_moves_only_with_pruning_in_a_solve(self, calls):
+        g = fam("cycle", 5)
+        solve_min_distinct(g, "total", QUICK, pruning=False)
+        find_with_at_most_k(g, 3, "total", QUICK)
+        iter_valid_labelings(g, "total", 5)
+        assert calls == []
+        solve_min_distinct(g, "total", QUICK)
+        solve_min_distinct(g, "total", SolveBudget(max_nodes=100_000))
+        assert [moves for _, moves, _ in calls] == [4_096, 3_125]
+
+    @pytest.mark.parametrize("g", [Graph(0, ()), fam("complete", 1), fam("empty", 2),
+                                   fam("empty", 8)])
+    def test_trivial_graphs_answer_as_before(self, g, monkeypatch):
+        # over 8 labels the whole tree has 109,600 nodes: room for 3,425 moves
+        answers = {}
+        for phase in (True, False):
+            if not phase:
+                monkeypatch.setattr(solver, "_ANNEAL_MOVES", 0)
+            for mode in ("total", "edge"):
+                for pruning in (True, False):
+                    res = solve_min_distinct(g, mode, QUICK, pruning=pruning)
+                    answers.setdefault((mode, pruning), set()).add((res.status, res.value))
+        for mode in ("total", "edge"):
+            oracle = brute_force_min_distinct(g, mode)
+            assert answers[mode, True] == answers[mode, False] == {(oracle.status, oracle.value)}
+
+    def test_every_exact_from_the_phase_is_a_witness_at_the_bound(self, calls):
+        # every atlas graph on at most 5 vertices, both modes
+        nx = pytest.importorskip("networkx")
+        closed = 0
+        for G in nx.graph_atlas_g()[:53]:
+            g = Graph.from_edges(G.number_of_nodes(), G.edges())
+            for mode in ("total", "edge"):
+                calls.clear()
+                res = solve_min_distinct(g, mode, SolveBudget(max_nodes=40_000))
+                if calls and calls[0][2] == calls[0][0]:
+                    closed += 1
+                    assert (res.status, res.value) == ("exact", calls[0][0])
+                    report = verify(g, res.certificate)
+                    assert report.valid and report.profile.distinct_count == res.value
+        assert closed == 50
 
 
 class TestIterValidLabelings:
