@@ -440,6 +440,23 @@ class TestWitnessPhase:
         res = solve_min_distinct(fam("cycle", 7), "total", SolveBudget(max_nodes=max_nodes))
         assert (res.status, res.nodes_explored) == (status, max_nodes + 1)
 
+    @pytest.mark.parametrize("reads,status,nodes", [
+        (2, "exhausted", 0), (3, "lower_upper", 8_192), (4, "lower_upper", 16_384),
+        (6, "lower_upper", 27_400),
+    ])
+    def test_clock_is_read_every_1024_moves(self, monkeypatch, reads, status, nodes):
+        # K3 plus two isolated vertices needs 4 weights against a bound of 3,
+        # so the pass runs its 3,425 moves (a quarter of the tree over 8
+        # labels) unless the clock stops it.  One reading starts the budget,
+        # one comes before the first move, then one every 1,024 moves; the
+        # tree reads the clock on entry and stops there.
+        readings = count(1)
+        clock = SimpleNamespace(monotonic=lambda: 0.0 if next(readings) < reads else 1e9)
+        monkeypatch.setattr(solver, "time", clock)
+        g = Graph.from_edges(5, [(0, 1), (0, 2), (1, 2)])
+        res = solve_min_distinct(g, "total", SolveBudget(max_millis=1_000))
+        assert (res.status, res.nodes_explored) == (status, nodes)
+
     def test_moves_only_with_pruning_in_a_solve(self, calls):
         g = fam("cycle", 5)
         solve_min_distinct(g, "total", QUICK, pruning=False)
