@@ -62,13 +62,10 @@ def chi_lat_upper_bound_via_cone(g: Graph, budget=None) -> Optional[ConeUpperBou
         budget = GENEROUS_BUDGET
     cone = join(g, Graph(1, ()))
     res = solve_min_distinct(cone, SearchMode.EDGE, budget)
-    if res.status == "exact":
-        base, f = cone_to_total(cone, res.certificate, apex=g.p)
-        return ConeUpperBound(res.value - 1, True, base, f)
-    if res.status == "lower_upper" and res.certificate is not None:
-        base, f = cone_to_total(cone, res.certificate, apex=g.p)
-        return ConeUpperBound(res.upper - 1, False, base, f)
-    return None
+    if res.status not in ("exact", "lower_upper"):  # no certificate
+        return None
+    base, f = cone_to_total(cone, res.certificate, apex=g.p)
+    return ConeUpperBound(res.upper - 1, res.status == "exact", base, f)
 
 
 # ---------------------------------------------------------------------------

@@ -56,10 +56,9 @@ def _multiset_problems(labels, n):
     seen = {}
     for x in labels:
         seen[x] = seen.get(x, 0) + 1
-    duplicates = sorted(x for x, c in seen.items() if c > 1)
-    bad = sorted(x for x in seen if not (1 <= x <= n))
+    bad = sorted(x for x, c in seen.items() if c > 1 or not 1 <= x <= n)
     gaps = sorted(x for x in range(1, n + 1) if x not in seen)
-    return tuple(duplicates + bad), tuple(gaps)
+    return tuple(bad), tuple(gaps)
 
 
 def verify(g: Graph, lab: Labeling) -> VerifyReport:

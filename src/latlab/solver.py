@@ -4,7 +4,7 @@ solve_min_distinct / find_with_at_most_k run a pruned backtracking search
 over label slots, filled in a static order that completes the most
 constrained vertex first; iter_valid_labelings lists labelings in its order.
 With pruning, solve_min_distinct first looks for a witness at the lower
-bound by a short seeded annealing pass over label permutations.
+bound by a seeded annealing pass, then searches below each labeling found.
 """
 
 from __future__ import annotations
@@ -167,12 +167,8 @@ class _Search:
         self.g, self.vslots, self.touches = g, vslots, touches
         order = _slot_order(g, mode)
         self.assign = [0] * n
-        # a slot touching one vertex also adds to the spare wpart[p], never read
-        self.wpart = [0] * (g.p + 1)
         self.nodes = 0
         self.cut = False  # set when the budget stopped the search
-        self.pruning = pruning
-        self.allowed = g.p  # max distinct weights tolerated in this search
         self.max_nodes = budget.max_nodes
 
         # the orbit representative (earlier in the order) keeps the orbit's
@@ -192,42 +188,40 @@ class _Search:
             ta, tb = touches[s] if len(touches[s]) == 2 else (touches[s][0], g.p)
             self.steps.append((s, ta, tb, done, pairs, star if s in orbit_rest else None))
 
-    def labelings(self):
-        """Yield the distinct-weight count of every complete labeling, in
-        ascending label order, leaving the labeling in `assign` until
-        resumed; `allowed` is read again after each yield.  Each free label
-        tried at a slot counts one node, on top of the `nodes` already
-        charged; `cut` is set when the budget stops the search.  The weight
-        table is made here, so a solve the witness search closes never
-        makes it.  With pruning, a label that would add a weight past
-        `allowed` is refused by one `wcount` read, unapplied, and still
-        counts its node, so the tree is that of applying it; once the count
-        is already past `allowed`, every label is refused that way."""
+    def labelings(self, allowed):
+        """Yield the distinct-weight count of every complete labeling with
+        at most `allowed` weights, in ascending label order, leaving the
+        labeling in `assign` until resumed.  Each free label tried at a slot
+        counts one node, on top of the `nodes` already charged; `cut` is set
+        when the budget stops the search.  The weight tables are made per
+        call, so a restart starts clean and a solve the witness search
+        closes never makes them.  With `allowed` weights present, a label
+        that would add one is refused by one `wcount` read, unapplied, and
+        still counts its node, so the tree is that of applying it.  At most
+        p - 1 weights precede a vertex's completion: max(p, 1) refuses none."""
         if self.deadline is not None and time.monotonic() > self.deadline:
             self.cut = True  # set-up outlasted the budget: search no node
             return
-        n, steps, assign, wpart = self.n, self.steps, self.assign, self.wpart
+        n, steps, assign = self.n, self.steps, self.assign
+        # a slot touching one vertex also adds to the spare wpart[p], never read
+        wpart = [0] * (self.g.p + 1)
         wcount = [0] * (self.heaviest + 1)  # vertices per weight
         # vertices with no contributing slots (isolated, edge mode) weigh 0
         wcount[0] = sum(1 for s in self.vslots if not s)
-        pruning, distinct = self.pruning, int(wcount[0] > 0)
-        allowed = self.allowed if pruning else sys.maxsize
+        distinct = int(wcount[0] > 0)
         limit = self.max_nodes if self.max_nodes is not None else sys.maxsize
         deadline, monotonic, nodes = self.deadline, time.monotonic, self.nodes
         # a node at or past `stop` is past the limit or, with a deadline,
         # on a multiple of 1,024, where the clock is read
         stop = limit + 1 if deadline is None else min(limit + 1, (nodes | 1023) + 1)
-        absent = [0] * (n + 1)  # a weight row with no weight present: refuses every label
         # free labels as a doubly linked list between sentinels 0 and n + 1
         nxt = list(range(1, n + 2))
         prv = list(range(-1, n + 1))
-        depth = 0
+        depth, done = 0, ()  # with no slots, the first resume reads `done`
         while True:
             if depth == n:
                 self.nodes = nodes
                 yield distinct
-                if pruning:
-                    allowed = self.allowed
                 label = n + 1
             else:
                 s, ta, tb, done, pairs, star = steps[depth]
@@ -237,11 +231,11 @@ class _Search:
                     while label <= floor:
                         label = nxt[label]
             while True:  # try labels from `label` up; out of labels, back up
-                if distinct >= allowed and (done or distinct > allowed):
+                if done and distinct == allowed:
                     # refuse unapplied a label giving done[0] a weight no
-                    # vertex has yet, or any label past `allowed`
-                    row, base = (wcount, wpart[done[0]]) if distinct == allowed else (absent, 0)
-                    while label <= n and not row[base + label]:
+                    # vertex has yet
+                    base = wpart[done[0]]
+                    while label <= n and not wcount[base + label]:
                         nodes += 1
                         if nodes >= stop:
                             if nodes > limit or monotonic() > deadline:
@@ -276,7 +270,7 @@ class _Search:
                 wpart[ta] += label
                 wpart[tb] += label
                 if not done:
-                    break  # completes no vertex, and distinct <= allowed
+                    break  # completes no vertex
                 for v, u in pairs:
                     if wpart[v] == wpart[u]:
                         break
@@ -407,17 +401,18 @@ class _Search:
 
 def solve_min_distinct(g: Graph, mode: SearchMode, budget: SolveBudget = GENEROUS_BUDGET,
                        pruning: bool = True) -> SolveResult:
-    """Minimum distinct-weight count: a witness search, then branch and bound.
+    """Minimum distinct-weight count: a witness search, then fixed-k searches.
 
     With pruning, `_Search.anneal` first makes at most min(4,096,
     max_nodes // 32) moves, each charged as 8 nodes, and none that would
     take over a quarter of the whole tree's nodes.  A labeling it finds
-    with as many weights as the lower bound is the answer; otherwise its
-    best valid labeling is the incumbent, and the exhaustive search looks
-    only for one with fewer weights, with the rest of the budget.  Returns
-    an exact value with a verified certificate when the search closes;
-    budget exhaustion yields bounds (or exhausted), never a wrong exact
-    answer.
+    with as many weights as the lower bound is the answer.  Otherwise a
+    fixed-k search restarts below each labeling found, with the rest of the
+    budget, until one meets the lower bound or a search closes finding none,
+    which refutes best - 1 weights.  Without pruning, one search takes the
+    fewest weights of any labeling.  A closed search gives an exact value
+    with a verified certificate; budget exhaustion yields bounds (or
+    exhausted), never a wrong exact answer.
     """
     mode = SearchMode(mode)
     if mode is SearchMode.EDGE and _has_isolated_edge(g):
@@ -435,16 +430,20 @@ def solve_min_distinct(g: Graph, mode: SearchMode, budget: SolveBudget = GENEROU
         if tree >= span:
             break
     moves = min(span, tree, budget.max_nodes or span) // (4 * _MOVE_NODES)
-    if pruning and moves:
-        best, assign = srch.anneal(lower, moves)
-        if best is not None:
-            srch.allowed = best - 1
-    for d in srch.labelings() if best is None or best > lower else ():
-        if best is None or d < best:
-            best, assign = d, list(srch.assign)
-            srch.allowed = d - 1
-            if d <= lower:
+    if not pruning:  # the reference: the fewest weights of any labeling
+        for d in srch.labelings(max(g.p, 1)):
+            if best is None or d < best:
+                best, assign = d, list(srch.assign)
+                if d <= lower:
+                    break
+    else:
+        if moves:
+            best, assign = srch.anneal(lower, moves)
+        while best is None or best > lower:  # restart below the incumbent
+            found = next(srch.labelings(max(g.p, 1) if best is None else best - 1), None)
+            if found is None:
                 break
+            best, assign = found, list(srch.assign)
 
     nodes = srch.nodes
     if best is None and not srch.cut:
@@ -474,12 +473,11 @@ def find_with_at_most_k(g: Graph, k: int, mode: SearchMode,
     if mode is SearchMode.EDGE and _has_isolated_edge(g):
         return FeasibilityResult("none")
     srch = _Search(g, mode, budget)
-    srch.allowed = k
-    for _ in srch.labelings():
-        cert = _labeling_from_assignment(g, mode, srch.assign)
-        _check_witness(g, cert, None)
-        return FeasibilityResult("found", cert, srch.nodes)
-    return FeasibilityResult("unknown" if srch.cut else "none", nodes_explored=srch.nodes)
+    if next(srch.labelings(k), None) is None:
+        return FeasibilityResult("unknown" if srch.cut else "none", nodes_explored=srch.nodes)
+    cert = _labeling_from_assignment(g, mode, srch.assign)
+    _check_witness(g, cert, None)
+    return FeasibilityResult("found", cert, srch.nodes)
 
 
 def iter_valid_labelings(g: Graph, mode: SearchMode, limit: int,
@@ -491,7 +489,7 @@ def iter_valid_labelings(g: Graph, mode: SearchMode, limit: int,
     mode = SearchMode(mode)
     srch = _Search(g, mode, budget, pruning=False)
     found = []
-    for _ in srch.labelings():
+    for _ in srch.labelings(max(g.p, 1)):
         found.append(_labeling_from_assignment(g, mode, srch.assign))
         if len(found) >= limit:
             return found

@@ -4,13 +4,14 @@
 most 5 vertices in both modes, the `solve_min_distinct` result at a
 40,000-node budget, and the results of four anchor searches cut at node
 budgets that land inside runs of labels rejected for adding a weight, or
-past the end of the search (W5 in edge mode closes at 359 nodes, W4 at
+past the end of the search (W5 in edge mode closes at 381 nodes, W4 at
 k=3 at 3,383).  These pin the exhaustive tree, so they are taken with the
 annealing witness search off; `atlas_phase` holds the atlas results with
 it on.  A faster search core must reproduce every status, bound, node
 count and witness, also under a time budget far above the searches'
 length, where reading the clock must change nothing.  To print each
-record that a change of search moves (its key, then old -> new), writing
+record that a change of search moves (its key, then old -> new), and then
+a tally of the moved records and of those whose answer moved, writing
 nothing, run
 
     PYTHONPATH=src python tests/test_atlas_tree.py --diff
@@ -92,12 +93,16 @@ def cut_records(max_millis=None):
     return records
 
 
+PARTS = (("atlas", ("atlas", "mode")), ("atlas_phase", ("atlas", "mode")),
+         ("cuts", ("anchor", "max_nodes")))
+ANSWER = ("status", "value", "lower", "upper")
+
+
 def diff_lines(golden, fresh):
     """One line per record of `fresh` that differs from `golden`: the
     record's key, then each changed field as old -> new."""
     lines = []
-    for part, keys in (("atlas", ("atlas", "mode")), ("atlas_phase", ("atlas", "mode")),
-                       ("cuts", ("anchor", "max_nodes"))):
+    for part, keys in PARTS:
         old_part, new_part = golden.get(part, []), fresh.get(part, [])
         if len(old_part) != len(new_part):
             lines.append(f"{part}: {len(old_part)} -> {len(new_part)} records")
@@ -110,6 +115,16 @@ def diff_lines(golden, fresh):
     return lines
 
 
+def diff_tally(golden, fresh):
+    """How many records of `fresh` differ from `golden`, and how many of
+    those in an answer (status, value, lower or upper), not only in nodes
+    or witness."""
+    pairs = [(old, new) for part, _ in PARTS
+             for old, new in zip(golden.get(part, []), fresh.get(part, [])) if old != new]
+    answers = sum(any(old.get(f) != new.get(f) for f in ANSWER) for old, new in pairs)
+    return f"{len(pairs)} records moved, {answers} in status, value, lower or upper"
+
+
 def test_diff_names_each_moved_record():
     golden = json.loads(GOLDEN.read_text())
     assert diff_lines(golden, golden) == []
@@ -120,6 +135,8 @@ def test_diff_names_each_moved_record():
     assert diff_lines(golden, moved) == [
         f"atlas {a['atlas']} mode {a['mode']}: nodes {a['nodes']} -> {a['nodes'] + 1}",
         f"anchor {c['anchor']} max_nodes {c['max_nodes']}: status {c['status']} -> moved"]
+    assert diff_tally(golden, golden) == "0 records moved, 0 in status, value, lower or upper"
+    assert diff_tally(golden, moved) == "2 records moved, 1 in status, value, lower or upper"
 
 
 def test_atlas_matches_golden():
@@ -156,7 +173,7 @@ def test_time_budget_leaves_the_results_unchanged():
 
 def test_every_graph_on_1_to_5_vertices_closes_at_3m_nodes():
     # total mode; the slowest, atlas 28, closes after 285,833 nodes (with
-    # the witness search off, atlas 48 after 1,724,026)
+    # the witness search off, atlas 48 after 1,724,052)
     nx = pytest.importorskip("networkx")
     for i, G in enumerate(nx.graph_atlas_g()[1:53], start=1):
         g = Graph.from_edges(G.number_of_nodes(), G.edges())
@@ -192,7 +209,9 @@ if __name__ == "__main__":
     fresh = {"atlas": atlas_records(), "atlas_phase": atlas_records(phase=True),
              "cuts": cut_records()}
     if sys.argv[1:] == ["--diff"]:
-        for line in diff_lines(json.loads(GOLDEN.read_text()), fresh):
+        golden = json.loads(GOLDEN.read_text())
+        for line in diff_lines(golden, fresh):
             print(line)
+        print(diff_tally(golden, fresh))
     else:
         GOLDEN.write_text(json.dumps(fresh, separators=(",", ":")) + "\n")

@@ -8,6 +8,7 @@ from latlab import (FamilySpec, Graph, SolveBudget, TooLargeError, bounds_report
                     chromatic_number, generate, known_value, solve_min_distinct,
                     verify)
 from latlab.coloring import _greedy_clique
+from latlab.graph import join
 from oracle import greedy_clique_by_edge_scan
 
 QUICK = SolveBudget(max_nodes=50_000_000, max_millis=120_000)
@@ -75,6 +76,18 @@ class TestConeUpperBound:
     def test_p2(self):
         bound = chi_lat_upper_bound_via_cone(fam("path", 2), QUICK)
         assert bound.exact and bound.value == 2
+
+    def test_budget_cut_cone_still_bounds(self):
+        # at 1,000 nodes the cone of P6 (a fan) ends at 3..5 weights: the
+        # incumbent's 5 - 1 bounds P6, though not exactly
+        g = fam("path", 6)
+        res = solve_min_distinct(join(g, Graph(1, ())), "edge", SolveBudget(max_nodes=1_000))
+        assert (res.status, res.upper) == ("lower_upper", 5)
+        bound = chi_lat_upper_bound_via_cone(g, SolveBudget(max_nodes=1_000))
+        assert not bound.exact and bound.value == res.upper - 1 == 4
+        assert bound.base_graph == g
+        report = verify(g, bound.witness)
+        assert report.valid and report.profile.distinct_count <= bound.value
 
     def test_o1_no_bound(self):
         assert chi_lat_upper_bound_via_cone(Graph(1, ()), QUICK) is None

@@ -152,6 +152,14 @@ class TestRejection:
         with pytest.raises(IntegrityError, match="bijection"):
             read_certificate(json.dumps(doc))
 
+    def test_each_bad_label_is_named_once(self):
+        # 9 is both repeated and outside {1..5}
+        doc = certificate_to_dict(p3_paper_cert())
+        doc["vertex_labels"] = [9, 9, 1]
+        doc["edge_labels"] = [2, 3]
+        with pytest.raises(IntegrityError, match=r"duplicates=\[9\], gaps=\[4, 5\]"):
+            read_certificate(json.dumps(doc))
+
     def test_tampered_weights(self):
         doc = certificate_to_dict(p3_paper_cert())
         doc["weights"] = [6, 11, 6]

@@ -105,6 +105,10 @@ class TestVerify:
         assert Labeling((9, 9, 9), (1, 2)).mode == "total"
         assert Labeling(None, (1, 2)).mode == "edge"
 
+    def test_a_repeated_label_outside_the_range_is_listed_once(self):
+        report = verify(P3, Labeling((9, 9, 1), (2, 3)))
+        assert (report.duplicates, report.gaps) == ((9,), (4, 5))
+
     def test_verify_edge_examples(self):
         assert verify(C3, Labeling(None, (1, 3, 2))).valid
         k2 = generate(FamilySpec("complete", (2,)))

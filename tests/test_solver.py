@@ -11,7 +11,8 @@ import pytest
 from latlab import (FamilySpec, Graph, IntegrityError, Labeling, ParameterError,
                     SolveBudget, TooLargeError, disjoint_union, find_with_at_most_k,
                     generate, iter_valid_labelings, solve_min_distinct, verify)
-from latlab import solver
+from latlab import chi_lat_lower_bound, solver
+from latlab.coloring import chromatic_lower_bound
 from latlab.solver import SearchMode, _orbit, _Search, _slot_order
 from oracle import brute_force_min_distinct
 
@@ -123,7 +124,6 @@ class TestSolve:
                 assert (ours.status, ours.value) == (oracle.status, oracle.value), spec
 
     def test_lower_bound_safety(self):
-        from latlab import chi_lat_lower_bound
         for g in CONNECTED_SMALL.values():
             res = solve_min_distinct(g, "total", QUICK)
             assert res.value >= chi_lat_lower_bound(g)
@@ -156,7 +156,7 @@ class TestSolve:
         # every graph has a local antimagic total labeling, so a search that
         # closes without one is a solver fault, not an "infeasible" answer
         monkeypatch.setattr(_Search, "anneal", lambda self, lower, moves: (None, None))
-        monkeypatch.setattr(_Search, "labelings", lambda self: iter(()))
+        monkeypatch.setattr(_Search, "labelings", lambda self, allowed: iter(()))
         with pytest.raises(IntegrityError, match="found no labeling"):
             solve_min_distinct(fam("cycle", 4), "total", QUICK)
         assert solve_min_distinct(fam("complete", 2), "edge", QUICK).status == "infeasible"
@@ -267,11 +267,11 @@ class TestSearchTree:
     per free label tried, the budget checked before the weight conflict.
     A label that would add a weight past the allowed count is refused by
     one weight-table read instead of being applied, and still counts one
-    node; once an incumbent leaves the count past the allowed one, every
-    label is refused, at slots completing no vertex too.  The node budget
-    stops the search at node max_nodes + 1; the clock is read on entering
-    the search and then at every multiple of 1,024 nodes within the node
-    budget, and a deadline found passed stops the search at that node.
+    node.  A solve restarts the search below each labeling it finds, and
+    counts the nodes of every search.  The node budget stops the search at
+    node max_nodes + 1; the clock is read on entering each search and then
+    at every multiple of 1,024 nodes within the node budget, and a deadline
+    found passed stops the search at that node.
     Cycles and complete graphs get the orbit cut from the graph itself,
     whether built by `generate` or read from a file.  The counts and
     witnesses below are those of the most-constrained-first slot order, so
@@ -282,7 +282,7 @@ class TestSearchTree:
         assert (res.status, res.nodes_explored) == ("none", 241_127)
 
     @pytest.mark.parametrize("kind,n,value,nodes,edge_labels", [
-        ("wheel", 4, 3, 8_107, (7, 3, 1, 2, 6, 4, 5, 8)),
+        ("wheel", 4, 3, 8_141, (7, 3, 1, 2, 6, 4, 5, 8)),
         ("complete", 4, 4, 6, (1, 2, 3, 4, 5, 6)),
     ])
     def test_edge_mode_solve(self, kind, n, value, nodes, edge_labels):
@@ -291,9 +291,9 @@ class TestSearchTree:
         assert res.certificate == Labeling(None, edge_labels)
 
     @pytest.mark.parametrize("kind,n,value,nodes,labels", [
-        ("cycle", 5, 3, 3_437, ((1, 6, 7, 4, 10), (2, 3, 9, 5, 8))),
+        ("cycle", 5, 3, 3_472, ((1, 6, 7, 4, 10), (2, 3, 9, 5, 8))),
         ("complete", 4, 4, 10, ((1, 5, 8, 10), (2, 3, 4, 6, 7, 9))),
-        ("cycle", 4, 2, 6_278, ((3, 8, 1, 4), (2, 7, 6, 5))),
+        ("cycle", 4, 2, 6_331, ((3, 8, 1, 4), (2, 7, 6, 5))),
     ])
     def test_family_orbit_solve(self, kind, n, value, nodes, labels):
         # the orbit's later slots start above the representative's label
@@ -303,13 +303,34 @@ class TestSearchTree:
         assert res.certificate == Labeling(*labels)
 
     @pytest.mark.parametrize("kind,n,pruned,plain", [
-        ("cycle", 4, 6_278, 3_196), ("path", 4, 8_217, 12_061),
-        ("k2_plus_empty", 2, 19, 21),
+        ("cycle", 4, 6_331, 3_196), ("path", 4, 8_241, 12_061),
+        ("k2_plus_empty", 2, 23, 21),
     ])
     def test_pruning_on_and_off(self, kind, n, pruned, plain):
         g = fam(kind, n)
         assert solve_min_distinct(g, "total", QUICK).nodes_explored == pruned
         assert solve_min_distinct(g, "total", QUICK, pruning=False).nodes_explored == plain
+
+    @pytest.mark.parametrize("kind,n,mode,nodes", [
+        ("cycle", 5, "total", 3_472), ("wheel", 4, "edge", 8_141),
+        ("path", 6, "total", 68_447), ("cycle", 4, "total", 6_331),
+        ("wheel", 5, "edge", 381),
+    ])
+    def test_solve_is_a_chain_of_fixed_k_searches(self, kind, n, mode, nodes):
+        # at most p weights first, then one fewer than each labeling found,
+        # until a search finds none or a labeling meets the lower bound
+        g = fam(kind, n)
+        lower = max(1, chi_lat_lower_bound(g) if mode == "total" else chromatic_lower_bound(g))
+        k, chain = g.p, 0
+        while True:
+            res = find_with_at_most_k(g, k, mode, QUICK)
+            chain += res.nodes_explored
+            if res.status != "found":
+                break
+            k = verify(g, res.certificate).profile.distinct_count - 1
+            if k < lower:
+                break
+        assert solve_min_distinct(g, mode, QUICK).nodes_explored == chain == nodes
 
     def test_budget_stop_counts_the_refused_node(self):
         # W4 at k=3 closes at 3,383 nodes; node 2,001 is a refused label
@@ -317,15 +338,18 @@ class TestSearchTree:
         assert (res.status, res.nodes_explored) == ("unknown", 2_001)
 
     @pytest.mark.parametrize("reads,status,nodes,labels", [
-        (3, "lower_upper", 1_024, (8, 1, 4, 7, 6, 11, 3, 2, 5, 9, 10)),
-        (7, "lower_upper", 5_120, (8, 1, 4, 7, 6, 11, 3, 2, 5, 9, 10)),
-        (40, "lower_upper", 38_912, (8, 1, 4, 7, 6, 11, 3, 2, 5, 9, 10)),
+        (3, "lower_upper", 11, (10, 1, 4, 6, 8, 11, 3, 2, 5, 7, 9)),
+        (6, "lower_upper", 1_024, (8, 1, 4, 7, 6, 11, 3, 2, 5, 9, 10)),
+        (10, "lower_upper", 5_120, (8, 1, 4, 7, 6, 11, 3, 2, 5, 9, 10)),
+        (43, "lower_upper", 38_912, (8, 1, 4, 7, 6, 11, 3, 2, 5, 9, 10)),
         (4, "unknown", 2_048, None),
     ])
     def test_deadline_is_read_every_1024_nodes(self, monkeypatch, reads, status, nodes, labels):
         # a clock that passes the deadline at its `reads`-th reading: one
-        # starts the budget, one is taken on entering the search, then one
-        # every 1,024 nodes; the cuts land in both a refused and an applied label
+        # starts the budget, one is taken on entering each search, then one
+        # every 1,024 nodes.  P6 restarts after 11, 40 and 372 nodes, so the
+        # third reading stops it on entering its second search; the later
+        # cuts land in both a refused and an applied label
         readings = count(1)
         clock = SimpleNamespace(monotonic=lambda: 0.0 if next(readings) < reads else 1e9)
         monkeypatch.setattr(solver, "time", clock)
@@ -336,15 +360,6 @@ class TestSearchTree:
             res = solve_min_distinct(fam("path", 6), "total", budget)
         cert = res.certificate
         assert (res.status, res.nodes_explored, cert and cert.labels) == (status, nodes, labels)
-
-    def test_incumbent_refuses_at_slots_completing_no_vertex(self):
-        # networkx atlas graph 120: after the first witness lowers the
-        # allowed count, a slot completing no vertex refuses every label
-        # until backing up lowers the count (accepting them gives 143 nodes)
-        g = Graph.from_edges(6, [(0, 4), (0, 5), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)])
-        res = solve_min_distinct(g, "total", SolveBudget(max_nodes=40_000))
-        assert (res.status, res.value, res.nodes_explored) == ("exact", 3, 139)
-        assert res.certificate.labels == (8, 13, 10, 6, 1, 12, 5, 11, 7, 3, 9, 4, 2)
 
     @pytest.mark.parametrize("name,kind,n,mode", [
         ("c5_total", "cycle", 5, "total"), ("w4_edge", "wheel", 4, "edge"),
@@ -386,7 +401,7 @@ class TestOrbit:
         # optimum, and the search then answers exact 4
         g = disjoint_union(fam("cycle", 3), fam("cycle", 5))
         res = solve_min_distinct(g, "edge", QUICK)
-        assert (res.status, res.value, res.nodes_explored) == ("exact", 3, 4_006)
+        assert (res.status, res.value, res.nodes_explored) == ("exact", 3, 4_522)
 
     @pytest.mark.parametrize("mode,nodes", [("total", 6), ("edge", 3)])
     def test_k3_same_tree_under_either_orbit(self, monkeypatch, mode, nodes):
