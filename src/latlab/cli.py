@@ -153,12 +153,10 @@ def cmd_construct(args) -> int:
         g, f = construct_k2_plus_empty(args.n)
         producer = "construction:k2-plus-empty"
         citation = "k2-plus-isolated"
-    elif name == "odd_path":
+    else:
         g, f = construct_small_odd_path(args.n)
         producer = "construction:odd-path-sequence"
         citation = "odd-path-sequences"
-    else:
-        raise ParameterError(f"unknown construction {args.name!r}")
     cert = make_certificate(g, f, producer, citation=citation)
     _emit(write_certificate(cert), args.out)
     return EXIT_OK
@@ -177,7 +175,7 @@ def cmd_transform(args) -> int:
         g, lab = total_to_cone(cert.graph, cert.labeling)
         out = make_certificate(g, lab, "transform:total-to-cone",
                                provenance_extra={"apex": g.p - 1})
-    elif args.kind == "double-cone":
+    else:
         if args.apexes is None:
             apexes = (cert.graph.p - 2, cert.graph.p - 1)
         else:
@@ -186,8 +184,6 @@ def cmd_transform(args) -> int:
         out = make_certificate(
             g, f, "transform:double-cone-collapse",
             provenance_extra={"kept_apex": apexes[0], "consumed_apex": apexes[1]})
-    else:  # pragma: no cover
-        raise ParameterError(f"unknown transform {args.kind!r}")
     _emit(write_certificate(out), args.out)
     return EXIT_OK
 
@@ -244,7 +240,7 @@ def cmd_atlas(args) -> int:
             from .solver import solve_min_distinct  # a miss: only now load the search
             res = solve_min_distinct(g, mode, budget)
             cert_doc = None
-            if res.certificate is not None and res.status in ("exact", "lower_upper"):
+            if res.certificate is not None:
                 cert_doc = certificate_to_dict(
                     make_certificate(g, res.certificate, "solver:branch-and-bound"))
             entry = {"mode": mode, "status": res.status, "value": res.value,

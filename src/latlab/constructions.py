@@ -73,15 +73,10 @@ def path_from_cycle(cycle: Graph, f: Labeling, doomed: int) -> Tuple[Graph, Labe
     if walk[-1] != a:
         raise IntegrityError(f"path_from_cycle: walk from {b} ended at {walk[-1]}, not {a}")
 
-    edge_id = {e: i for i, e in enumerate(cycle.edges)}
+    label = dict(zip(cycle.edges, f.edge_labels))
     path = generate(FamilySpec("path", (n,)))
-    vertex_labels = tuple(f.vertex_labels[v] - 1 for v in walk)
-    edge_labels = []
-    for i in range(n - 1):
-        u, v = walk[i], walk[i + 1]
-        e = edge_id[(min(u, v), max(u, v))]
-        edge_labels.append(f.edge_labels[e] - 1)
-    out = Labeling(vertex_labels, tuple(edge_labels))
+    out = Labeling(tuple(f.vertex_labels[v] - 1 for v in walk),
+                   tuple(label[min(u, v), max(u, v)] - 1 for u, v in zip(walk, walk[1:])))
 
     old_weights = report.profile.weights
     check(path, out, "path_from_cycle", [old_weights[v] - 3 for v in walk])

@@ -486,7 +486,11 @@ def iter_valid_labelings(g: Graph, mode: SearchMode, limit: int,
 
     Raises TooLargeError when the budget stops the search first; a search
     that closes with fewer labelings returns them all."""
+    if limit < 0:
+        raise ParameterError(f"limit must be >= 0, got {limit}")
     mode = SearchMode(mode)
+    if limit == 0:
+        return []
     srch = _Search(g, mode, budget, pruning=False)
     found = []
     for _ in srch.labelings(max(g.p, 1)):

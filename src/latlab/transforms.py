@@ -10,6 +10,7 @@ exactly, which is what makes the chromatic-number bookkeeping sound.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Tuple
 
 from .errors import PreconditionError, StructureError
@@ -17,12 +18,19 @@ from .graph import Graph, join
 from .labeling import Labeling, check, verify
 
 
-def _delete_vertices(g: Graph, gone: set) -> Tuple[Graph, dict]:
-    """Remove vertices, keeping the order of the rest.  Returns (graph, old->new)."""
+def _delete_vertices(g: Graph, gone: set) -> Tuple[Graph, list]:
+    """Remove vertices, keeping the order of the rest.  Returns (graph, keep):
+    new vertex i is old vertex keep[i]."""
     keep = [v for v in range(g.p) if v not in gone]
-    remap = {v: i for i, v in enumerate(keep)}
-    edges = [(remap[u], remap[v]) for u, v in g.edges if u not in gone and v not in gone]
-    return Graph.from_edges(len(keep), edges), remap
+    edges = [(bisect_left(keep, u), bisect_left(keep, v))
+             for u, v in g.edges if u not in gone and v not in gone]
+    return Graph.from_edges(len(keep), edges), keep
+
+
+def _label_of(g: Graph, lab: Labeling):
+    """Look an edge label up by the edge's two endpoints, in either order."""
+    by_edge = dict(zip(g.edges, lab.edge_labels))
+    return lambda u, v: by_edge[(u, v) if u < v else (v, u)]
 
 
 def cone_to_total(cone: Graph, g: Labeling, apex: int) -> Tuple[Graph, Labeling]:
@@ -38,23 +46,13 @@ def cone_to_total(cone: Graph, g: Labeling, apex: int) -> Tuple[Graph, Labeling]
     if not report.valid:
         raise PreconditionError("input is not a valid local antimagic edge labeling")
 
-    base, remap = _delete_vertices(cone, {apex})
-    edge_id = {e: i for i, e in enumerate(cone.edges)}
-    vertex_labels = [0] * base.p
-    for v in range(cone.p):
-        if v == apex:
-            continue
-        e = edge_id[(min(v, apex), max(v, apex))]
-        vertex_labels[remap[v]] = g.edge_labels[e]
-    edge_labels = [0] * base.q
-    base_edge_id = {e: i for i, e in enumerate(base.edges)}
-    for i, (u, v) in enumerate(cone.edges):
-        if u != apex and v != apex:
-            edge_labels[base_edge_id[(remap[u], remap[v])]] = g.edge_labels[i]
-    f = Labeling(tuple(vertex_labels), tuple(edge_labels))
+    base, keep = _delete_vertices(cone, {apex})
+    label = _label_of(cone, g)
+    f = Labeling(tuple(label(v, apex) for v in keep),
+                 tuple(label(keep[u], keep[v]) for u, v in base.edges))
 
     old = report.profile.weights
-    check(base, f, "cone_to_total", [old[v] for v in range(cone.p) if v != apex])
+    check(base, f, "cone_to_total", [old[v] for v in keep])
     return base, f
 
 
@@ -77,14 +75,9 @@ def total_to_cone(g: Graph, f: Labeling) -> Tuple[Graph, Labeling]:
 
     cone = join(g, Graph(1, ()))
     apex = g.p
-    edge_labels = [0] * cone.q
-    g_edge_id = {e: i for i, e in enumerate(g.edges)}
-    for i, (u, v) in enumerate(cone.edges):
-        if v == apex:
-            edge_labels[i] = f.vertex_labels[u]
-        else:
-            edge_labels[i] = f.edge_labels[g_edge_id[(u, v)]]
-    lab = Labeling(None, tuple(edge_labels))
+    label = _label_of(g, f)
+    lab = Labeling(None, tuple(f.vertex_labels[u] if v == apex else label(u, v)
+                               for u, v in cone.edges))
 
     check(cone, lab, "total_to_cone", report.profile.weights + (s,))
     return cone, lab
@@ -122,31 +115,14 @@ def double_cone_collapse(double_cone: Graph, g: Labeling,
             raise PreconditionError(
                 f"kept-apex weight {top + weights[a1]} collides with vertex {v}")
 
-    base, remap = _delete_vertices(double_cone, {a1, a2})
+    base, keep = _delete_vertices(double_cone, {a1, a2})
     out_graph = join(base, Graph(1, ()))
-    apex_out = base.p
-    edge_id = {e: i for i, e in enumerate(double_cone.edges)}
+    label = _label_of(double_cone, g)
+    vertex_labels = tuple(label(v, a2) for v in keep) + (top,)
+    keep.append(a1)  # the kept apex is out-vertex base.p
+    f = Labeling(vertex_labels, tuple(label(keep[u], keep[v]) for u, v in out_graph.edges))
 
-    vertex_labels = [0] * (base.p + 1)
-    for v in range(double_cone.p):
-        if v in (a1, a2):
-            continue
-        e2 = edge_id[(min(v, a2), max(v, a2))]
-        vertex_labels[remap[v]] = g.edge_labels[e2]
-    vertex_labels[apex_out] = top
-
-    out_edge_id = {e: i for i, e in enumerate(out_graph.edges)}
-    edge_labels = [0] * out_graph.q
-    for i, (u, v) in enumerate(double_cone.edges):
-        if a2 in (u, v):
-            continue
-        if u == a1 or v == a1:
-            w = v if u == a1 else u
-            edge_labels[out_edge_id[(remap[w], apex_out)]] = g.edge_labels[i]
-        else:
-            edge_labels[out_edge_id[(remap[u], remap[v])]] = g.edge_labels[i]
-    f = Labeling(tuple(vertex_labels), tuple(edge_labels))
-
-    expected = [weights[v] for v in range(double_cone.p) if v not in (a1, a2)]
-    check(out_graph, f, "double_cone_collapse", expected + [top + weights[a1]])
+    expected = [weights[v] for v in keep]
+    expected[-1] += top
+    check(out_graph, f, "double_cone_collapse", expected)
     return out_graph, f

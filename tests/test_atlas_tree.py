@@ -100,7 +100,8 @@ ANSWER = ("status", "value", "lower", "upper")
 
 def diff_lines(golden, fresh):
     """One line per record of `fresh` that differs from `golden`: the
-    record's key, then each changed field as old -> new."""
+    record's key, then each changed field as old -> new.  The key of an
+    atlas record names its part, `atlas` or `atlas_phase`."""
     lines = []
     for part, keys in PARTS:
         old_part, new_part = golden.get(part, []), fresh.get(part, [])
@@ -108,7 +109,8 @@ def diff_lines(golden, fresh):
             lines.append(f"{part}: {len(old_part)} -> {len(new_part)} records")
         for old, new in zip(old_part, new_part):
             if old != new:
-                key = f"{keys[0]} {new[keys[0]]} {keys[1]} {new[keys[1]]}"
+                name = part if part.startswith(keys[0]) else keys[0]
+                key = f"{name} {new[keys[0]]} {keys[1]} {new[keys[1]]}"
                 moves = [f"{field} {old.get(field)} -> {value}"
                          for field, value in new.items() if old.get(field) != value]
                 lines.append(f"{key}: " + ", ".join(moves))
@@ -130,13 +132,15 @@ def test_diff_names_each_moved_record():
     assert diff_lines(golden, golden) == []
     moved = json.loads(GOLDEN.read_text())
     moved["atlas"][3]["nodes"] += 1
+    moved["atlas_phase"][3]["nodes"] += 2
     moved["cuts"][0]["status"] = "moved"
-    a, c = golden["atlas"][3], golden["cuts"][0]
+    a, ph, c = golden["atlas"][3], golden["atlas_phase"][3], golden["cuts"][0]
     assert diff_lines(golden, moved) == [
         f"atlas {a['atlas']} mode {a['mode']}: nodes {a['nodes']} -> {a['nodes'] + 1}",
+        f"atlas_phase {ph['atlas']} mode {ph['mode']}: nodes {ph['nodes']} -> {ph['nodes'] + 2}",
         f"anchor {c['anchor']} max_nodes {c['max_nodes']}: status {c['status']} -> moved"]
     assert diff_tally(golden, golden) == "0 records moved, 0 in status, value, lower or upper"
-    assert diff_tally(golden, moved) == "2 records moved, 1 in status, value, lower or upper"
+    assert diff_tally(golden, moved) == "3 records moved, 1 in status, value, lower or upper"
 
 
 def test_atlas_matches_golden():

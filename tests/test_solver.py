@@ -532,6 +532,15 @@ class TestIterValidLabelings:
         # K2 in total mode: all 3! labelings are valid
         assert len(iter_valid_labelings(fam("complete", 2), "total", 50)) == 6
 
+    def test_zero_limit_returns_nothing_without_searching(self):
+        assert iter_valid_labelings(fam("complete", 4), "edge", 0) == []
+        # a one-node budget stops any search, so [] here means none ran
+        assert iter_valid_labelings(fam("wheel", 5), "total", 0, SolveBudget(max_nodes=1)) == []
+
+    def test_negative_limit_rejected(self):
+        with pytest.raises(ParameterError, match="limit must be >= 0, got -5"):
+            iter_valid_labelings(fam("complete", 4), "edge", -5)
+
 
 def full_scan_slot_order(g, mode):
     """The slot order by a full scan of every unordered vertex per step:

@@ -10,6 +10,17 @@ def fam(kind, *params):
     return generate(FamilySpec(kind, params))
 
 
+def relabel(g, lab, perm):
+    """The same labeled graph with vertex v renamed perm[v]."""
+    by_edge = sorted((tuple(sorted((perm[u], perm[v]))), x)
+                     for (u, v), x in zip(g.edges, lab.edge_labels))
+    vertex_labels = None
+    if lab.vertex_labels is not None:
+        vertex_labels = tuple(x for _, x in sorted(zip(perm, lab.vertex_labels)))
+    return (Graph.from_edges(g.p, [e for e, _ in by_edge]),
+            Labeling(vertex_labels, tuple(x for _, x in by_edge)))
+
+
 class TestConeToTotal:
     def test_triangle_to_p2(self):
         c3 = fam("cycle", 3)
@@ -45,6 +56,19 @@ class TestConeToTotal:
         with pytest.raises(PreconditionError):
             cone_to_total(k2, Labeling(None, (1,)), apex=1)
 
+    def test_apex_not_last(self):
+        # the apex of K1 ∨ P3 renamed 1, the path keeping its order: the
+        # transfer must read the same labels as with the apex last
+        cone = join(fam("path", 3), Graph(1, ()))
+        perm = (0, 2, 3, 1)
+        done = 0
+        for g in iter_valid_labelings(cone, "edge", 30):
+            moved, h = relabel(cone, g, perm)
+            assert moved.degree(1) == 3
+            assert cone_to_total(moved, h, apex=1) == cone_to_total(cone, g, apex=3)
+            done += 1
+        assert done == 30
+
     def test_label_set_accounting(self):
         k4 = fam("complete", 4)
         g = iter_valid_labelings(k4, "edge", 1)[0]
@@ -79,6 +103,18 @@ class TestTotalToCone:
         cone, g = total_to_cone(p2, f0)
         base, f1 = cone_to_total(cone, g, apex=2)
         assert verify(base, f1).profile.weights == verify(p2, f0).profile.weights
+
+    @pytest.mark.parametrize("g", [fam("path", 3), fam("path", 4), fam("cycle", 4),
+                                   Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])],
+                             ids=["P3", "P4", "C4", "K1,3"])
+    def test_round_trip_gives_back_graph_and_labeling(self, g):
+        done = 0
+        for f in iter_valid_labelings(g, "total", 40):
+            if sum(f.vertex_labels) in verify(g, f).profile.weights:
+                continue  # the apex weight would collide: no cone
+            assert cone_to_total(*total_to_cone(g, f), apex=g.p) == (g, f)
+            done += 1
+        assert done >= 10
 
 
 class TestDoubleConeCollapse:
@@ -120,6 +156,26 @@ class TestDoubleConeCollapse:
             assert report.valid
             assert report.profile.weights[:4] == w[:4]
             assert sorted(f.vertex_labels + f.edge_labels) == list(range(1, 14))
+            done += 1
+        assert done >= 20
+
+
+    @pytest.mark.parametrize("apexes", [(4, 5), (5, 4)])
+    def test_apexes_in_the_middle(self, apexes):
+        # C4 ∨ O2 with the apexes renamed 1 and 3 and the cycle keeping its
+        # order: each order of the pair transfers as with the apexes last
+        dc = fam("cycle_join_empty", 4, 2)
+        perm = (0, 2, 4, 5, 1, 3)
+        done = 0
+        for g in iter_valid_labelings(dc, "edge", 40):
+            moved, h = relabel(dc, g, perm)
+            try:
+                expected = double_cone_collapse(dc, g, apexes)
+            except PreconditionError:
+                with pytest.raises(PreconditionError, match="kept-apex weight"):
+                    double_cone_collapse(moved, h, (perm[apexes[0]], perm[apexes[1]]))
+                continue
+            assert double_cone_collapse(moved, h, (perm[apexes[0]], perm[apexes[1]])) == expected
             done += 1
         assert done >= 20
 
