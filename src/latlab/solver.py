@@ -302,9 +302,11 @@ class _Search:
         two slots and touches only their vertices and those vertices'
         edges.  A labeling scores 2 per adjacent pair of equal weights plus
         1 per vertex outside the `lower` largest weight classes, so 0 is a
-        witness.  At most `moves` moves, each charged to `nodes`, are
-        accepted by the Metropolis rule as the temperature falls
-        geometrically; the clock is read before the first and then every
+        witness.  Counts of the weight classes by least size keep the class
+        term in O(1) per weight change.  At most `moves` moves, each charged
+        to `nodes`, are accepted by the Metropolis rule as the temperature
+        falls geometrically; a refused move is undone without rescanning
+        neighbours.  The clock is read before the first move and then every
         1,024.  Returns the fewest weights of a valid labeling met and its
         slot labels, or (None, None)."""
         deadline, monotonic = self.deadline, time.monotonic
@@ -313,88 +315,84 @@ class _Search:
         from math import exp
         g, n, p, touches = self.g, self.n, self.g.p, self.touches
         nbrs = [g.neighbors(v) for v in range(p)]
-        seed = 1
-
-        def rand(m):  # uniform in [0, m), by a 64-bit LCG (Knuth's MMIX constants)
-            nonlocal seed
-            seed = (seed * 6364136223846793005 + 1442695040888963407) & 0xFFFF_FFFF_FFFF_FFFF
-            return (seed >> 32) * m >> 32
-
-        # size[w] vertices weigh w; hist[k] classes hold k vertices, hist[0]
-        # counting more empty ones than `lower`; `top` vertices lie in the
-        # `lower` largest classes, the smallest of which holds t, and
-        # `above` classes hold more than t.  Every vertex starts at weight 0.
-        wt, size, hist = [0] * p, {0: p}, [lower + p] + [0] * p
-        hist[p], equal = 1, g.q
-        top, t, above = p, (p if lower == 1 else 0), int(lower > 1)
-
-        def shift(v, d):  # v's weight moves by d != 0
-            nonlocal equal, t, above, top
-            w = wt[v]
-            wt[v] = x = w + d
-            for u in nbrs[v]:
-                y = wt[u]
-                if y == w:
-                    equal -= 1
-                elif y == x:
-                    equal += 1
-            k = size.pop(w)  # w's class loses v
-            if k > 1:
-                size[w] = k - 1
-            top -= k > t or (k == t and hist[t] == lower - above)
-            above -= k == t + 1
-            hist[k] -= 1
-            hist[k - 1] += 1
-            while above + hist[t] < lower:
-                above += hist[t]
-                t -= 1
-            k = size.get(x, 0)  # x's class gains v
-            size[x] = k + 1
-            top += k >= t
-            above += k == t
-            hist[k] -= 1
-            hist[k + 1] += 1
-            while above >= lower:
-                t += 1
-                above -= hist[t]
-
-        def swap(a, b):  # a second swap of the same slots undoes the first
-            d = lab[b] - lab[a]
-            lab[a], lab[b] = lab[b], lab[a]
-            ta, tb = touches[a], touches[b]
-            for v in ta:
-                if v not in tb:  # a vertex fed by both keeps its weight
-                    shift(v, d)
-            for v in tb:
-                if v not in ta:
-                    shift(v, -d)
-
+        # a 64-bit LCG (Knuth's MMIX constants): (seed >> 32) * m >> 32 is uniform in [0, m)
+        mul, inc, mask, seed = 6364136223846793005, 1442695040888963407, 2 ** 64 - 1, 1
         lab = list(range(1, n + 1))
         for i in range(n - 1, 0, -1):
-            j = rand(i + 1)
+            seed = (seed * mul + inc) & mask
+            j = (seed >> 32) * (i + 1) >> 32
             lab[i], lab[j] = lab[j], lab[i]
-        for v, slots in enumerate(self.vslots):
-            if slots:
-                shift(v, sum(lab[s] for s in slots))
+        # size[w] vertices weigh w and ge[k] classes hold k or more, so ge[1]
+        # weights are present and the `lower` largest classes hold
+        # top = sum over k >= 1 of min(ge[k], lower) vertices (the Ferrers
+        # diagram of the class sizes, read by columns).
+        wt = [sum(lab[s] for s in slots) for slots in self.vslots]
+        size, ge = [0] * (self.heaviest + 1), [0] * (p + 1)
+        for w in wt:
+            size[w] = k = size[w] + 1
+            ge[k] += 1
+        top = sum(min(c, lower) for c in ge)
+        equal = sum(wt[u] == wt[v] for u, v in g.edges)
         score = 2 * equal + p - top
-        best, best_lab = (len(size), lab[:]) if not equal else (None, None)
+        best, best_lab = (ge[1], lab[:]) if not equal else (None, None)
         temp, cool = 0.25, 0.04 ** (1.0 / moves)  # from 0.25 down to 0.01
         made = 0
         while made < moves and (best is None or best > lower):
             if made and not made & 1023 and deadline is not None and monotonic() > deadline:
                 break
             made += 1
-            a, b = rand(n), rand(n - 1)
+            seed = (seed * mul + inc) & mask
+            a = (seed >> 32) * n >> 32
+            seed = (seed * mul + inc) & mask
+            b = (seed >> 32) * (n - 1) >> 32
             b += b >= a
-            swap(a, b)
+            la, lb = lab[a], lab[b]
+            lab[a], lab[b] = lb, la
+            # each slot's vertices move by d; a vertex fed by both keeps its weight
+            sides = (touches[a], touches[b], lb - la), (touches[b], touches[a], la - lb)
+            old = equal, top
+            for side, other, d in sides:
+                for v in side:
+                    if v in other:
+                        continue
+                    w = wt[v]
+                    wt[v] = x = w + d
+                    for u in nbrs[v]:
+                        y = wt[u]
+                        if y == w:
+                            equal -= 1
+                        elif y == x:
+                            equal += 1
+                    k = size[w]  # w's class loses v
+                    size[w] = k - 1
+                    top -= ge[k] <= lower
+                    ge[k] -= 1
+                    size[x] = k = size[x] + 1  # x's class gains v
+                    top += ge[k] < lower
+                    ge[k] += 1
             new = 2 * equal + p - top
             temp *= cool
-            if new <= score or rand(1 << 32) < exp((score - new) / temp) * 2.0 ** 32:
-                score = new
-                if not equal and (best is None or len(size) < best):
-                    best, best_lab = len(size), lab[:]
-            else:
-                swap(a, b)
+            if new > score:  # uphill: kept with probability exp((score - new) / temp)
+                seed = (seed * mul + inc) & mask
+                if seed >> 32 >= exp((score - new) / temp) * 2.0 ** 32:
+                    # refused: equal and top are as saved once the moved
+                    # vertices are back in their classes
+                    lab[a], lab[b] = la, lb
+                    equal, top = old
+                    for side, other, d in sides:
+                        for v in side:
+                            if v not in other:
+                                x = wt[v]
+                                wt[v] = w = x - d
+                                k = size[x]
+                                size[x] = k - 1
+                                ge[k] -= 1
+                                size[w] = k = size[w] + 1
+                                ge[k] += 1
+                    continue
+            score = new
+            if not equal and (best is None or ge[1] < best):
+                best, best_lab = ge[1], lab[:]
         self.nodes = made * _MOVE_NODES
         return best, best_lab
 

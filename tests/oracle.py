@@ -3,10 +3,14 @@ against.
 
 It enumerates every bijection of the label universe (numpy-chunked) and
 shares no code with the solver's search: it builds its own slot lists and
-checks its witness with the package's public verifier.
+checks its witness with the package's public verifier.  A reference
+annealer, which rescores every labeling from scratch, checks the solver's
+incremental witness search move by move.
 """
 
+from collections import Counter
 from itertools import islice, permutations
+from math import exp
 
 from latlab import IntegrityError, Labeling, SearchMode, SolveResult, TooLargeError
 from latlab.labeling import check
@@ -89,6 +93,54 @@ def brute_force_min_distinct(g, mode) -> SolveResult:
                              f"not the claimed {best}")
     return SolveResult("exact", value=best, lower=best, upper=best,
                        certificate=cert, nodes_explored=count)
+
+
+def anneal_by_rescoring(g, mode, lower, moves):
+    """The witness search of `_Search.anneal` with no incremental state.
+
+    Same 64-bit LCG and seed, the same shuffle, proposals, temperatures and
+    Metropolis draws; after every proposed swap the weights are summed
+    afresh from the slot labels and the labeling is scored from scratch:
+    2 per adjacent pair of equal weights plus the vertices outside the
+    `lower` largest weight classes.  Returns (fewest weights of a valid
+    labeling met or None, its slot labels or None, moves made)."""
+    n, vslots = _vertex_slots(g, SearchMode(mode))
+    seed = 1
+
+    def rand(m):
+        nonlocal seed
+        seed = (seed * 6364136223846793005 + 1442695040888963407) % 2 ** 64
+        return (seed >> 32) * m >> 32
+
+    def rescore():
+        weights = [sum(lab[s] for s in slots) for slots in vslots]
+        equal = sum(weights[u] == weights[v] for u, v in g.edges)
+        classes = sorted(Counter(weights).values(), reverse=True)
+        return 2 * equal + g.p - sum(classes[:lower]), equal, len(classes)
+
+    lab = list(range(1, n + 1))
+    for i in range(n - 1, 0, -1):
+        j = rand(i + 1)
+        lab[i], lab[j] = lab[j], lab[i]
+    score, equal, distinct = rescore()
+    best, best_lab = (distinct, lab[:]) if not equal else (None, None)
+    temp, cool = 0.25, 0.04 ** (1.0 / moves)
+    made = 0
+    while made < moves and (best is None or best > lower):
+        made += 1
+        a, b = rand(n), rand(n - 1)
+        if b >= a:
+            b += 1
+        lab[a], lab[b] = lab[b], lab[a]
+        new, equal, distinct = rescore()
+        temp *= cool
+        if new <= score or rand(2 ** 32) < exp((score - new) / temp) * 2.0 ** 32:
+            score = new
+            if not equal and (best is None or distinct < best):
+                best, best_lab = distinct, lab[:]
+        else:
+            lab[a], lab[b] = lab[b], lab[a]
+    return best, best_lab, made
 
 
 def greedy_clique_by_edge_scan(g) -> int:

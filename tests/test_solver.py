@@ -14,7 +14,7 @@ from latlab import (FamilySpec, Graph, IntegrityError, Labeling, ParameterError,
 from latlab import chi_lat_lower_bound, solver
 from latlab.coloring import chromatic_lower_bound
 from latlab.solver import SearchMode, _orbit, _Search, _slot_order
-from oracle import brute_force_min_distinct
+from oracle import anneal_by_rescoring, brute_force_min_distinct
 
 QUICK = SolveBudget(max_nodes=50_000_000, max_millis=120_000)
 
@@ -513,6 +513,57 @@ class TestWitnessPhase:
                     report = verify(g, res.certificate)
                     assert report.valid and report.profile.distinct_count == res.value
         assert closed == 50
+
+    @pytest.mark.parametrize("mode", ["total", "edge"])
+    def test_same_moves_as_the_reference_annealer(self, mode):
+        # every atlas graph on at most 6 vertices with two slots or more, at
+        # the lower bound and one above it: the incremental bookkeeping
+        # makes the decisions of rescoring each labeling from scratch
+        nx = pytest.importorskip("networkx")
+        mode, compared = SearchMode(mode), 0
+        for G in nx.graph_atlas_g()[:209]:
+            g = Graph.from_edges(G.number_of_nodes(), G.edges())
+            bound = max(1, chi_lat_lower_bound(g) if mode is SearchMode.TOTAL
+                        else chromatic_lower_bound(g))
+            for lower in (bound, bound + 1):
+                srch = _Search(g, mode, SolveBudget(max_nodes=10**9))
+                if srch.n < 2:
+                    continue
+                best, labels, made = anneal_by_rescoring(g, mode, lower, 256)
+                assert srch.anneal(lower, 256) == (best, labels)
+                assert srch.nodes == made * solver._MOVE_NODES
+                compared += 1
+        assert compared == {"total": 414, "edge": 394}[mode]
+
+    DOUBLE_STAR = [(0, 1), (0, 2), (0, 3), (3, 4), (3, 5)]  # atlas 79
+
+    @pytest.mark.parametrize("p,edges,mode,lower,moves,best,made", [
+        # one weight, which adjacent vertices cannot share: every move runs,
+        # many swapping a vertex slot with that vertex's own edge
+        (2, [(0, 1)], "total", 1, 64, 2, 64),
+        (3, [(0, 1), (1, 2)], "total", 1, 64, 2, 64),
+        (5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)], "total", 1, 256, 3, 256),
+        # lower = p: every class is among the largest; the isolated edge of
+        # paw + K2 keeps a pair equal, so no witness exists
+        (6, [(0, 1), (1, 2), (1, 3), (2, 3), (4, 5)], "edge", 6, 256, None, 256),
+        (4, list(combinations(range(4), 2)), "total", 4, 256, 4, 0),
+        # an isolated vertex in edge mode: a weight-0 class fed by no slot
+        (5, [(0, 1), (1, 2), (2, 3)], "edge", 2, 256, 4, 256),
+        # one move: refused (it swaps two edges at a shared vertex), accepted
+        (5, [(0, 1), (0, 3), (0, 4), (1, 2), (2, 3), (3, 4)], "total", 3, 1, 5, 1),
+        (6, DOUBLE_STAR, "total", 2, 1, 5, 1),
+        # whole 4,096-move passes that never reach the bound
+        (6, DOUBLE_STAR, "total", 2, 4_096, 3, 4_096),
+        (6, DOUBLE_STAR, "edge", 2, 4_096, 6, 4_096),
+    ])
+    def test_edge_cases_match_the_reference_annealer(self, p, edges, mode, lower, moves,
+                                                     best, made):
+        g, mode = Graph.from_edges(p, edges), SearchMode(mode)
+        srch = _Search(g, mode, SolveBudget(max_nodes=10**9))
+        ref_best, ref_labels, ref_made = anneal_by_rescoring(g, mode, lower, moves)
+        assert (ref_best, ref_made) == (best, made)
+        assert srch.anneal(lower, moves) == (ref_best, ref_labels)
+        assert srch.nodes == made * solver._MOVE_NODES
 
 
 class TestIterValidLabelings:
