@@ -25,6 +25,9 @@ from .labeling import Labeling, check
 _WEIGHT_TABLE_LIMIT = 10_000_000  # 80 MB of per-weight counts
 _ANNEAL_MOVES = 4_096  # most moves of the witness search before the tree; 0 skips it
 _MOVE_NODES = 8  # search nodes charged per move
+# ceil(e**-4 * 2**32): a Metropolis draw this high refuses any move uphill
+# by 1 or more below temperature 0.25, where every move of `anneal` is tested
+_REFUSE = 78_665_071
 
 
 class SearchMode(str, Enum):
@@ -137,6 +140,26 @@ def _orbit(g: Graph, mode: SearchMode):
     else:
         return ()
     return tuple(slots) if len(slots) >= 2 else ()
+
+
+_DRAWS = ()  # see _draws
+
+
+def _draws(count):
+    """At least the first `count` random draws of the witness search: the
+    high 32 bits of each output of a 64-bit LCG (Knuth's MMIX constants)
+    from seed 1, so draw * m >> 32 is uniform in [0, m).  Every pass reads
+    this one stream from its start, so a process makes it once, remaking
+    it at least doubled when a pass reads past its end, and never changes
+    a stream it has handed out."""
+    global _DRAWS
+    if len(_DRAWS) < count:
+        seed, out = 1, []
+        for _ in range(max(count, 2 * len(_DRAWS))):
+            seed = (seed * 6364136223846793005 + 1442695040888963407) & (2 ** 64 - 1)
+            out.append(seed >> 32)
+        _DRAWS = tuple(out)
+    return _DRAWS
 
 
 def _has_isolated_edge(g: Graph) -> bool:
@@ -300,27 +323,32 @@ class _Search:
 
         From a fixed-seed shuffle of the labels, a move swaps the labels of
         two slots and touches only their vertices and those vertices'
-        edges.  A labeling scores 2 per adjacent pair of equal weights plus
-        1 per vertex outside the `lower` largest weight classes, so 0 is a
+        edges; the random draws are read from the stream of `_draws`.  A
+        labeling scores 2 per adjacent pair of equal weights plus 1 per
+        vertex outside the `lower` largest weight classes, so 0 is a
         witness.  Counts of the weight classes by least size keep the class
         term in O(1) per weight change.  At most `moves` moves, each charged
         to `nodes`, are accepted by the Metropolis rule as the temperature
-        falls geometrically; a refused move is undone without rescanning
-        neighbours.  The clock is read before the first move and then every
-        1,024.  Returns the fewest weights of a valid labeling met and its
-        slot labels, or (None, None)."""
+        falls geometrically from 0.25.  A move's class counts change first:
+        a move that the class term alone makes uphill is refused before its
+        weights change, using the draw the full test would make, whenever
+        that draw refuses every uphill move.  The moves are still those of
+        the reference annealer, which rescores each labeling from scratch
+        (`anneal_by_rescoring` in tests/oracle.py).  A refused move is undone
+        without rescanning neighbours.  The clock is read before the first
+        move and then every 1,024.  Returns the fewest weights of a valid
+        labeling met and its slot labels, or (None, None)."""
         deadline, monotonic = self.deadline, time.monotonic
         if deadline is not None and monotonic() > deadline:
             return None, None
         from math import exp
         g, n, p, touches = self.g, self.n, self.g.p, self.touches
         nbrs = [g.neighbors(v) for v in range(p)]
-        # a 64-bit LCG (Knuth's MMIX constants): (seed >> 32) * m >> 32 is uniform in [0, m)
-        mul, inc, mask, seed = 6364136223846793005, 1442695040888963407, 2 ** 64 - 1, 1
+        # the shuffle takes n - 1 draws and a move at most 3: draws[di] is next
+        draws, di = _draws(n - 1), n - 1
         lab = list(range(1, n + 1))
         for i in range(n - 1, 0, -1):
-            seed = (seed * mul + inc) & mask
-            j = (seed >> 32) * (i + 1) >> 32
+            j = draws[n - 1 - i] * (i + 1) >> 32
             lab[i], lab[j] = lab[j], lab[i]
         # size[w] vertices weigh w and ge[k] classes hold k or more, so ge[1]
         # weights are present and the `lower` largest classes hold
@@ -338,61 +366,69 @@ class _Search:
         temp, cool = 0.25, 0.04 ** (1.0 / moves)  # from 0.25 down to 0.01
         made = 0
         while made < moves and (best is None or best > lower):
-            if made and not made & 1023 and deadline is not None and monotonic() > deadline:
-                break
+            if not made & 127:  # the draws of the next 128 moves, and every 1,024 the clock
+                if made and not made & 1023 and deadline is not None and monotonic() > deadline:
+                    break
+                draws = _draws(di + 384)
             made += 1
-            seed = (seed * mul + inc) & mask
-            a = (seed >> 32) * n >> 32
-            seed = (seed * mul + inc) & mask
-            b = (seed >> 32) * (n - 1) >> 32
+            a = draws[di] * n >> 32
+            b = draws[di + 1] * (n - 1) >> 32
             b += b >= a
+            di += 2
             la, lb = lab[a], lab[b]
-            lab[a], lab[b] = lb, la
-            # each slot's vertices move by d; a vertex fed by both keeps its weight
-            sides = (touches[a], touches[b], lb - la), (touches[b], touches[a], la - lb)
-            old = equal, top
-            for side, other, d in sides:
-                for v in side:
-                    if v in other:
-                        continue
-                    w = wt[v]
-                    wt[v] = x = w + d
+            ta, tb, d, old, moved = touches[a], touches[b], lb - la, top, []
+            for v in ta + tb:  # the class counts first
+                # a's vertices move by d, b's by -d; a vertex fed by both keeps its weight
+                w = wt[v]
+                if v not in tb:
+                    x = w + d
+                elif v not in ta:
+                    x = w - d
+                else:
+                    continue
+                moved.append((v, w, x))
+                k = size[w]  # w's class loses v
+                size[w] = k - 1
+                top -= ge[k] <= lower
+                ge[k] -= 1
+                size[x] = k = size[x] + 1  # x's class gains v
+                top += ge[k] < lower
+                ge[k] += 1
+            temp *= cool
+            # uphill whatever the equal pairs do, and the draw the full test
+            # would make refuses every uphill move: refused, no weight written
+            if p - top > score and draws[di] >= _REFUSE:
+                di += 1
+            else:
+                lab[a], lab[b] = lb, la
+                saved = equal
+                for v, w, x in moved:
+                    wt[v] = x
                     for u in nbrs[v]:
                         y = wt[u]
                         if y == w:
                             equal -= 1
                         elif y == x:
                             equal += 1
-                    k = size[w]  # w's class loses v
-                    size[w] = k - 1
-                    top -= ge[k] <= lower
-                    ge[k] -= 1
-                    size[x] = k = size[x] + 1  # x's class gains v
-                    top += ge[k] < lower
-                    ge[k] += 1
-            new = 2 * equal + p - top
-            temp *= cool
-            if new > score:  # uphill: kept with probability exp((score - new) / temp)
-                seed = (seed * mul + inc) & mask
-                if seed >> 32 >= exp((score - new) / temp) * 2.0 ** 32:
-                    # refused: equal and top are as saved once the moved
-                    # vertices are back in their classes
-                    lab[a], lab[b] = la, lb
-                    equal, top = old
-                    for side, other, d in sides:
-                        for v in side:
-                            if v not in other:
-                                x = wt[v]
-                                wt[v] = w = x - d
-                                k = size[x]
-                                size[x] = k - 1
-                                ge[k] -= 1
-                                size[w] = k = size[w] + 1
-                                ge[k] += 1
+                new = 2 * equal + p - top
+                if new > score:  # uphill: kept with probability exp((score - new) / temp)
+                    draw, di = draws[di], di + 1
+                if new <= score or draw < exp((score - new) / temp) * 2.0 ** 32:
+                    score = new
+                    if not equal and (best is None or ge[1] < best):
+                        best, best_lab = ge[1], lab[:]
                     continue
-            score = new
-            if not equal and (best is None or ge[1] < best):
-                best, best_lab = ge[1], lab[:]
+                lab[a], lab[b] = la, lb  # refused: equal is as saved
+                equal = saved
+                for v, w, x in moved:
+                    wt[v] = w
+            top = old  # refused: the moved vertices go back to their classes
+            for v, w, x in moved:
+                k = size[x]
+                size[x] = k - 1
+                ge[k] -= 1
+                size[w] = k = size[w] + 1
+                ge[k] += 1
         self.nodes = made * _MOVE_NODES
         return best, best_lab
 

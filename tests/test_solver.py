@@ -1,4 +1,5 @@
 import json
+import math
 import random
 import sys
 import time
@@ -534,6 +535,49 @@ class TestWitnessPhase:
                 assert srch.nodes == made * solver._MOVE_NODES
                 compared += 1
         assert compared == {"total": 414, "edge": 394}[mode]
+
+    @pytest.mark.parametrize("mode", ["total", "edge"])
+    def test_full_passes_match_the_reference_annealer(self, mode):
+        # every 8th connected 6-vertex atlas graph at the lower bound, with
+        # the 3,125 moves of a 100,000-node solve: the passes that run to the
+        # end reach the cold phase, where most moves are refused early
+        nx = pytest.importorskip("networkx")
+        mode, full = SearchMode(mode), 0
+        graphs = [G for G in nx.graph_atlas_g()[:209]
+                  if G.number_of_nodes() == 6 and nx.is_connected(G)]
+        for G in graphs[::8]:
+            g = Graph.from_edges(6, G.edges())
+            lower = (chi_lat_lower_bound(g) if mode is SearchMode.TOTAL
+                     else chromatic_lower_bound(g))
+            srch = _Search(g, mode, SolveBudget(max_nodes=10**9))
+            best, labels, made = anneal_by_rescoring(g, mode, lower, 3_125)
+            assert srch.anneal(lower, 3_125) == (best, labels)
+            assert srch.nodes == made * solver._MOVE_NODES
+            full += made == 3_125
+        assert (len(graphs[::8]), full) == (14, {"total": 1, "edge": 5}[mode])
+
+    def test_early_refusal_refuses_only_what_the_metropolis_rule_refuses(self):
+        # a draw of at least _REFUSE refuses a move uphill by 1 to 4 at every
+        # temperature a pass tests, computed as the pass computes it
+        assert solver._REFUSE == math.ceil(math.exp(-4) * 2 ** 32)
+        for moves in (1, 256, 3_125, 4_096):
+            temp, cool, kept = 0.25, 0.04 ** (1.0 / moves), []
+            for _ in range(moves):
+                temp *= cool
+                kept += [(moves, temp, step) for step in range(1, 5)
+                         if solver._REFUSE < math.exp(-step / temp) * 2.0 ** 32]
+            assert temp < 0.25 and not kept
+
+    def test_draw_stream_is_the_lcg_and_grows_unchanged(self, monkeypatch):
+        monkeypatch.setattr(solver, "_DRAWS", ())
+        seed, expected = 1, []
+        for _ in range(10):
+            seed = (seed * 6364136223846793005 + 1442695040888963407) % 2 ** 64
+            expected.append(seed >> 32)
+        short = solver._draws(5)
+        assert short == tuple(expected[:5]) and solver._draws(4) is short
+        assert solver._draws(6) == tuple(expected)  # remade doubled
+        assert short == tuple(expected[:5])
 
     DOUBLE_STAR = [(0, 1), (0, 2), (0, 3), (3, 4), (3, 5)]  # atlas 79
 
