@@ -2,9 +2,9 @@
 
 solve_min_distinct / find_with_at_most_k run a pruned backtracking search
 over label slots, filled in a static order that completes the most
-constrained vertex first; iter_valid_labelings lists labelings in its order.
-With pruning, solve_min_distinct first looks for a witness at the lower
-bound by a seeded annealing pass, then searches below each labeling found.
+constrained vertex first; iter_valid_labelings lists every labeling in that
+order.  solve_min_distinct first looks for a witness at the lower bound by
+a seeded annealing pass, then searches below each labeling found.
 """
 
 from __future__ import annotations
@@ -172,9 +172,10 @@ class _Search:
     Slots are filled in the static order `_slot_order`, so the depth at
     which each vertex weight completes is fixed in advance; `steps[d]`
     holds the slot placed at depth d, the one or two vertices it touches,
-    the vertices it completes and the adjacent pairs it may set equal."""
+    the vertices it completes and the adjacent pairs it may set equal.
+    Of the `orbit` slots, the one placed first keeps the smallest label."""
 
-    def __init__(self, g: Graph, mode: SearchMode, budget: SolveBudget, pruning: bool = True):
+    def __init__(self, g: Graph, mode: SearchMode, budget: SolveBudget, orbit=()):
         # the time budget covers set-up, slot ordering included
         self.deadline = (time.monotonic() + budget.max_millis / 1000.0
                          if budget.max_millis is not None else None)
@@ -197,7 +198,6 @@ class _Search:
         # the orbit representative (earlier in the order) keeps the orbit's
         # smallest label: a slot of orbit_rest starts above assign[star]
         orbit_rest, star = (), None
-        orbit = _orbit(g, mode) if pruning else ()
         if orbit:
             pos = {s: i for i, s in enumerate(order)}
             star = min(orbit, key=lambda s: pos[s])
@@ -433,25 +433,24 @@ class _Search:
         return best, best_lab
 
 
-def solve_min_distinct(g: Graph, mode: SearchMode, budget: SolveBudget = GENEROUS_BUDGET,
-                       pruning: bool = True) -> SolveResult:
+def solve_min_distinct(g: Graph, mode: SearchMode,
+                       budget: SolveBudget = GENEROUS_BUDGET) -> SolveResult:
     """Minimum distinct-weight count: a witness search, then fixed-k searches.
 
-    With pruning, `_Search.anneal` first makes at most min(4,096,
-    max_nodes // 32) moves, each charged as 8 nodes, and none that would
-    take over a quarter of the whole tree's nodes.  A labeling it finds
-    with as many weights as the lower bound is the answer.  Otherwise a
-    fixed-k search restarts below each labeling found, with the rest of the
-    budget, until one meets the lower bound or a search closes finding none,
-    which refutes best - 1 weights.  Without pruning, one search takes the
-    fewest weights of any labeling.  A closed search gives an exact value
-    with a verified certificate; budget exhaustion yields bounds (or
+    `_Search.anneal` first makes at most min(4,096, max_nodes // 32) moves,
+    each charged as 8 nodes, and none that would take over a quarter of the
+    whole tree's nodes.  A labeling it finds with as many weights as the
+    lower bound is the answer.  Otherwise a fixed-k search, with the orbit
+    cut of `_orbit`, restarts below each labeling found, with the rest of
+    the budget, until one meets the lower bound or a search closes finding
+    none, which refutes best - 1 weights.  A closed search gives an exact
+    value with a verified certificate; budget exhaustion yields bounds (or
     exhausted), never a wrong exact answer.
     """
     mode = SearchMode(mode)
     if mode is SearchMode.EDGE and _has_isolated_edge(g):
         return SolveResult("infeasible")
-    srch = _Search(g, mode, budget, pruning=pruning)  # starts the clock
+    srch = _Search(g, mode, budget, _orbit(g, mode))  # starts the clock
     lower = max(1, chi_lat_lower_bound(g) if mode is SearchMode.TOTAL
                 else chromatic_lower_bound(g))
     best = assign = None
@@ -464,20 +463,13 @@ def solve_min_distinct(g: Graph, mode: SearchMode, budget: SolveBudget = GENEROU
         if tree >= span:
             break
     moves = min(span, tree, budget.max_nodes or span) // (4 * _MOVE_NODES)
-    if not pruning:  # the reference: the fewest weights of any labeling
-        for d in srch.labelings(max(g.p, 1)):
-            if best is None or d < best:
-                best, assign = d, list(srch.assign)
-                if d <= lower:
-                    break
-    else:
-        if moves:
-            best, assign = srch.anneal(lower, moves)
-        while best is None or best > lower:  # restart below the incumbent
-            found = next(srch.labelings(max(g.p, 1) if best is None else best - 1), None)
-            if found is None:
-                break
-            best, assign = found, list(srch.assign)
+    if moves:
+        best, assign = srch.anneal(lower, moves)
+    while best is None or best > lower:  # restart below the incumbent
+        found = next(srch.labelings(max(g.p, 1) if best is None else best - 1), None)
+        if found is None:
+            break
+        best, assign = found, list(srch.assign)
 
     nodes = srch.nodes
     if best is None and not srch.cut:
@@ -506,7 +498,7 @@ def find_with_at_most_k(g: Graph, k: int, mode: SearchMode,
     mode = SearchMode(mode)
     if mode is SearchMode.EDGE and _has_isolated_edge(g):
         return FeasibilityResult("none")
-    srch = _Search(g, mode, budget)
+    srch = _Search(g, mode, budget, _orbit(g, mode))
     if next(srch.labelings(k), None) is None:
         return FeasibilityResult("unknown" if srch.cut else "none", nodes_explored=srch.nodes)
     cert = _labeling_from_assignment(g, mode, srch.assign)
@@ -525,7 +517,7 @@ def iter_valid_labelings(g: Graph, mode: SearchMode, limit: int,
     mode = SearchMode(mode)
     if limit == 0:
         return []
-    srch = _Search(g, mode, budget, pruning=False)
+    srch = _Search(g, mode, budget)
     found = []
     for _ in srch.labelings(max(g.p, 1)):
         found.append(_labeling_from_assignment(g, mode, srch.assign))

@@ -26,6 +26,20 @@ def no_phase(monkeypatch):
     monkeypatch.setattr(solver, "_ANNEAL_MOVES", 0)
 
 
+# each rule of a solve, and the solver attribute and value that switch it off
+RULES = {"orbit cut": ("_orbit", lambda g, mode: ()), "witness pass": ("_ANNEAL_MOVES", 0)}
+
+
+def switched_off(monkeypatch):
+    """Yield None with every rule on, then the name of each rule in turn
+    with that rule alone switched off until the next value is asked for."""
+    yield None
+    for rule, (name, value) in RULES.items():
+        with monkeypatch.context() as m:
+            m.setattr(solver, name, value)
+            yield rule
+
+
 def fam(kind, *params):
     return generate(FamilySpec(kind, params))
 
@@ -135,13 +149,6 @@ class TestSolve:
         b = solve_min_distinct(g, "total", QUICK)
         assert a == b
 
-    def test_pruning_differential(self):
-        for g in [fam("cycle", 3), fam("path", 3), fam("path", 4),
-                  fam("complete", 3), fam("k2_plus_empty", 2)]:
-            pruned = solve_min_distinct(g, "total", QUICK)
-            plain = solve_min_distinct(g, "total", QUICK, pruning=False)
-            assert pruned.value == plain.value
-
     def test_symmetry_breaking_preserves_value(self, monkeypatch):
         g = fam("cycle", 4)
         with_sym = solve_min_distinct(g, "total", QUICK)
@@ -163,22 +170,22 @@ class TestSolve:
         assert solve_min_distinct(fam("complete", 2), "edge", QUICK).status == "infeasible"
 
     @pytest.mark.parametrize("mode,max_universe", [("total", 9), ("edge", 7)])
-    def test_oracle_agreement_atlas(self, mode, max_universe):
+    def test_oracle_agreement_atlas(self, monkeypatch, mode, max_universe):
         # every graph on <= 7 vertices whose label universe the oracle
-        # enumerates quickly, with pruning on and off
+        # enumerates quickly, with both rules on and with each one off
         nx = pytest.importorskip("networkx")
-        mismatches, checked = [], 0
-        for i, G in enumerate(nx.graph_atlas_g()):
-            g = Graph.from_edges(G.number_of_nodes(), G.edges())
-            if (g.p + g.q if mode == "total" else g.q) > max_universe:
-                continue
-            checked += 1
-            oracle = brute_force_min_distinct(g, mode)
-            for pruning in (True, False):
-                ours = solve_min_distinct(g, mode, QUICK, pruning=pruning)
-                if (ours.status, ours.value) != (oracle.status, oracle.value):
-                    mismatches.append((i, pruning, ours.status, ours.value, oracle.value))
-        assert checked == {"total": 45, "edge": 273}[mode]
+        graphs = [(i, Graph.from_edges(G.number_of_nodes(), G.edges()))
+                  for i, G in enumerate(nx.graph_atlas_g())]
+        graphs = [(i, g) for i, g in graphs
+                  if (g.p + g.q if mode == "total" else g.q) <= max_universe]
+        assert len(graphs) == {"total": 45, "edge": 273}[mode]
+        oracle = {i: brute_force_min_distinct(g, mode) for i, g in graphs}
+        mismatches = []
+        for rule in switched_off(monkeypatch):
+            for i, g in graphs:
+                ours = solve_min_distinct(g, mode, QUICK)
+                if (ours.status, ours.value) != (oracle[i].status, oracle[i].value):
+                    mismatches.append((i, rule, ours.status, ours.value, oracle[i].value))
         assert mismatches == []
 
     def test_weight_counts_sized_by_the_heaviest_vertex(self):
@@ -303,19 +310,23 @@ class TestSearchTree:
         assert (res.status, res.value, res.nodes_explored) == ("exact", value, nodes)
         assert res.certificate == Labeling(*labels)
 
-    @pytest.mark.parametrize("kind,n,pruned,plain", [
-        ("cycle", 4, 6_331, 3_196), ("path", 4, 8_241, 12_061),
-        ("k2_plus_empty", 2, 23, 21),
+    @pytest.mark.parametrize("kind,n,mode,cut,uncut", [
+        ("cycle", 4, "total", 6_331, 2_203), ("cycle", 6, "edge", 251, 725),
     ])
-    def test_pruning_on_and_off(self, kind, n, pruned, plain):
+    def test_orbit_cut_on_and_off(self, monkeypatch, kind, n, mode, cut, uncut):
+        # the cut is no sure saving: on C4 in total mode it costs nodes
         g = fam(kind, n)
-        assert solve_min_distinct(g, "total", QUICK).nodes_explored == pruned
-        assert solve_min_distinct(g, "total", QUICK, pruning=False).nodes_explored == plain
+        with_cut = solve_min_distinct(g, mode, QUICK)
+        monkeypatch.setattr(solver, *RULES["orbit cut"])
+        without = solve_min_distinct(g, mode, QUICK)
+        assert (with_cut.status, with_cut.value) == (without.status, without.value)
+        assert (with_cut.nodes_explored, without.nodes_explored) == (cut, uncut)
 
     @pytest.mark.parametrize("kind,n,mode,nodes", [
         ("cycle", 5, "total", 3_472), ("wheel", 4, "edge", 8_141),
         ("path", 6, "total", 68_447), ("cycle", 4, "total", 6_331),
-        ("wheel", 5, "edge", 381),
+        ("wheel", 5, "edge", 381), ("path", 4, "total", 8_241),
+        ("k2_plus_empty", 2, "total", 23),
     ])
     def test_solve_is_a_chain_of_fixed_k_searches(self, kind, n, mode, nodes):
         # at most p weights first, then one fewer than each labeling found,
@@ -417,9 +428,9 @@ class TestOrbit:
 
 
 class TestWitnessPhase:
-    """With pruning, solve_min_distinct first anneals over label
-    permutations, at most min(4,096, max_nodes // 32) moves charged as 8
-    nodes each; a labeling at the lower bound ends the solve there."""
+    """solve_min_distinct first anneals over label permutations, at most
+    min(4,096, max_nodes // 32) moves charged as 8 nodes each; a labeling
+    at the lower bound ends the solve there."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -473,9 +484,8 @@ class TestWitnessPhase:
         res = solve_min_distinct(g, "total", SolveBudget(max_millis=1_000))
         assert (res.status, res.nodes_explored) == (status, nodes)
 
-    def test_moves_only_with_pruning_in_a_solve(self, calls):
+    def test_moves_only_in_a_solve(self, calls):
         g = fam("cycle", 5)
-        solve_min_distinct(g, "total", QUICK, pruning=False)
         find_with_at_most_k(g, 3, "total", QUICK)
         iter_valid_labelings(g, "total", 5)
         assert calls == []
@@ -488,16 +498,13 @@ class TestWitnessPhase:
     def test_trivial_graphs_answer_as_before(self, g, monkeypatch):
         # over 8 labels the whole tree has 109,600 nodes: room for 3,425 moves
         answers = {}
-        for phase in (True, False):
-            if not phase:
-                monkeypatch.setattr(solver, "_ANNEAL_MOVES", 0)
+        for _ in switched_off(monkeypatch):
             for mode in ("total", "edge"):
-                for pruning in (True, False):
-                    res = solve_min_distinct(g, mode, QUICK, pruning=pruning)
-                    answers.setdefault((mode, pruning), set()).add((res.status, res.value))
+                res = solve_min_distinct(g, mode, QUICK)
+                answers.setdefault(mode, set()).add((res.status, res.value))
         for mode in ("total", "edge"):
             oracle = brute_force_min_distinct(g, mode)
-            assert answers[mode, True] == answers[mode, False] == {(oracle.status, oracle.value)}
+            assert answers[mode] == {(oracle.status, oracle.value)}
 
     def test_every_exact_from_the_phase_is_a_witness_at_the_bound(self, calls):
         # every atlas graph on at most 5 vertices, both modes
