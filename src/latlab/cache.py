@@ -1,10 +1,11 @@
 """File-backed results cache for batch (atlas) runs.
 
-Keyed by the exact labeled graph and mode, not by isomorphism class.
-A hit is re-verified before reuse; entries that fail re-verification are
-deleted and recomputed.  An entry that a budget cut short (`lower_upper`,
-`exhausted`) is served only to a budget no larger than the one it was
-solved under, so a larger budget retries it.
+Keyed by the exact labeled graph and mode, not by isomorphism class.  A
+hit is re-verified before reuse, and its upper bound (and exact value) is
+read off its certificate; entries that fail re-verification are deleted and
+recomputed.  An entry that a budget cut short (`lower_upper`, `exhausted`)
+is served only to a budget no larger than the one it was solved under, so a
+larger budget retries it.
 """
 
 from __future__ import annotations
@@ -12,14 +13,12 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import time
 from pathlib import Path
 from typing import Optional
 
 from .budget import SolveBudget
-from .certificate import certificate_from_dict
 from .errors import LatlabError
-from .graph import Graph
+from .graph import Graph, has_isolated_edge
 from .labeling import verify
 
 CACHE_ENV_VAR = "LATLAB_CACHE_DIR"
@@ -54,15 +53,23 @@ def load_entry(directory: Path, g: Graph, mode: str,
         if entry.get("key_graph") != {"p": g.p, "edges": [list(e) for e in g.edges]} \
                 or entry.get("mode") != mode:
             raise ValueError("key mismatch")
-        if entry.get("certificate") is not None:
+        status, lower, value, upper = entry["status"], entry.get("lower"), None, None
+        if status in ("exact", "lower_upper"):
+            from .certificate import certificate_from_dict  # not loaded without a cache
             cert = certificate_from_dict(entry["certificate"])
-            if cert.graph != g or not verify(g, cert.labeling).valid:
+            if (cert.graph, cert.labeling.mode) != (g, mode) \
+                    or not verify(g, cert.labeling).valid:
                 raise ValueError("certificate failed re-verification")
-            if entry.get("status") == "exact" and cert.distinct != entry.get("value"):
-                raise ValueError("certificate does not witness the stored value")
-        elif entry.get("status") == "exact":
-            raise ValueError("exact entry without certificate")
-        if budget is not None and entry.get("status") in ("lower_upper", "exhausted"):
+            upper = cert.distinct
+            if status == "exact":
+                value = lower = upper
+            elif not lower < upper:
+                raise ValueError("lower bound not below the witness")
+        elif entry.get("certificate") is not None or status not in ("infeasible", "exhausted"):
+            raise ValueError(f"{status!r} entry with a certificate, or no known status")
+        elif status == "infeasible" and not (mode == "edge" and has_isolated_edge(g)):
+            raise ValueError("infeasible entry for a graph that has a labeling")
+        if budget is not None and status in ("lower_upper", "exhausted"):
             used = entry.get("budget") or {}  # none stored: solved under no known budget
             if _larger(budget.max_nodes, used.get("max_nodes", 0)) \
                     or _larger(budget.max_millis, used.get("max_millis", 0)):
@@ -70,24 +77,20 @@ def load_entry(directory: Path, g: Graph, mode: str,
     except Exception:
         path.unlink(missing_ok=True)
         return None
-    return entry
+    return {"status": status, "value": value, "lower": lower, "upper": upper}
 
 
-def store_entry(directory: Path, g: Graph, mode: str, status: str,
-                value=None, lower=None, upper=None, certificate_doc=None,
-                budget: Optional[SolveBudget] = None):
+def store_entry(directory: Path, g: Graph, mode: str, status: str, lower=None,
+                certificate_doc=None, budget: Optional[SolveBudget] = None):
     import tempfile  # only a miss writes: a cache hit does not load it
     entry = {
         "key_graph": {"p": g.p, "edges": [list(e) for e in g.edges]},
         "mode": mode,
         "status": status,
-        "value": value,
         "lower": lower,
-        "upper": upper,
         "certificate": certificate_doc,
         "budget": None if budget is None else {"max_nodes": budget.max_nodes,
                                                "max_millis": budget.max_millis},
-        "timestamp": time.time(),
     }
     path = directory / (cache_key(g, mode) + ".json")
     try:
@@ -103,4 +106,3 @@ def store_entry(directory: Path, g: Graph, mode: str, status: str,
     except OSError as exc:
         raise LatlabError(f"cannot write cache directory {directory}: "
                           f"{exc.strerror or exc}") from exc
-    return entry

@@ -224,7 +224,6 @@ def cmd_bounds(args) -> int:
 
 def cmd_atlas(args) -> int:
     from .cache import cache_dir, load_entry, store_entry
-    from .certificate import certificate_to_dict, make_certificate
     text = _read_source(args.input)
     mode = args.mode
     budget = _budget_from_args(args)
@@ -235,27 +234,20 @@ def cmd_atlas(args) -> int:
         if not line:
             continue
         g = graph6_decode(line)
-        entry = load_entry(directory, g, mode, budget) if directory else None
-        if entry is None:
+        answer = load_entry(directory, g, mode, budget) if directory else None
+        cached = answer is not None
+        if not cached:
             from .solver import solve_min_distinct  # a miss: only now load the search
             res = solve_min_distinct(g, mode, budget)
-            cert_doc = None
-            if res.certificate is not None:
-                cert_doc = certificate_to_dict(
-                    make_certificate(g, res.certificate, "solver:branch-and-bound"))
-            entry = {"mode": mode, "status": res.status, "value": res.value,
-                     "lower": res.lower, "upper": res.upper, "certificate": cert_doc}
+            answer = res._asdict()
             if directory:
-                entry = store_entry(directory, g, mode, res.status,
-                                    value=res.value, lower=res.lower,
-                                    upper=res.upper, certificate_doc=cert_doc,
-                                    budget=budget)
-            entry["cached"] = False
-        else:
-            entry["cached"] = True
-        record = {"graph6": line, "status": entry["status"], "value": entry.get("value"),
-                  "lower": entry.get("lower"), "upper": entry.get("upper"),
-                  "cached": entry["cached"]}
+                from .certificate import certificate_to_dict, make_certificate
+                cert_doc = None if res.certificate is None else certificate_to_dict(
+                    make_certificate(g, res.certificate, "solver:branch-and-bound"))
+                store_entry(directory, g, mode, res.status, lower=res.lower,
+                            certificate_doc=cert_doc, budget=budget)
+        record = {"graph6": line, "status": answer["status"], "value": answer["value"],
+                  "lower": answer["lower"], "upper": answer["upper"], "cached": cached}
         if args.json:
             out_lines.append(json.dumps(record, sort_keys=True))
         else:

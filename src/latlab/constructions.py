@@ -4,8 +4,8 @@ from __future__ import annotations
 
 from typing import Tuple
 
-from .errors import IntegrityError, ParameterError, PreconditionError
-from .graph import FamilySpec, Graph, generate
+from .errors import ParameterError, PreconditionError
+from .graph import FamilySpec, Graph, generate, is_cycle
 from .labeling import Labeling, check, verify
 
 # Interleaved label sequences v1, e1, v2, e2, ..., vn for short odd paths,
@@ -51,7 +51,7 @@ def path_from_cycle(cycle: Graph, f: Labeling, doomed: int) -> Tuple[Graph, Labe
     if f.mode != "total":
         raise PreconditionError("path_from_cycle takes a total labeling, got an edge one")
     n = cycle.p
-    if n < 3 or cycle.q != n or any(cycle.degree(v) != 2 for v in range(n)):
+    if not is_cycle(cycle):
         raise PreconditionError("input graph is not a cycle")
     if not (0 <= doomed < cycle.q):
         raise PreconditionError(f"edge id {doomed} out of range")
@@ -65,13 +65,11 @@ def path_from_cycle(cycle: Graph, f: Labeling, doomed: int) -> Tuple[Graph, Labe
     a, b = cycle.edges[doomed]
     walk = [b]
     prev = a
-    while len(walk) < n:
+    while len(walk) < n:  # a cycle: the walk from b meets every vertex, ending at a
         cur = walk[-1]
         nxt = next(u for u in cycle.neighbors(cur) if u != prev)
         prev = cur
         walk.append(nxt)
-    if walk[-1] != a:
-        raise IntegrityError(f"path_from_cycle: walk from {b} ended at {walk[-1]}, not {a}")
 
     label = dict(zip(cycle.edges, f.edge_labels))
     path = generate(FamilySpec("path", (n,)))

@@ -4,9 +4,17 @@ from __future__ import annotations
 
 from typing import Iterable, Tuple
 
-from .errors import ParameterError, ParseError, ValidationError
+from .errors import ParameterError, ParseError, TooLargeError, ValidationError
 
 Edge = Tuple[int, int]
+
+SIZE_LIMIT = 1_000_000  # most vertices, and most edges, of a graph
+
+
+def _refuse_huge(p: int, q: int):
+    if max(p, q) > SIZE_LIMIT:
+        raise TooLargeError(f"a graph of {p} vertices and {q} edges exceeds the "
+                            f"limit of {SIZE_LIMIT} of either")
 
 
 class Frozen:
@@ -56,6 +64,7 @@ class Graph(Frozen):
     def __init__(self, p: int, edges: Tuple[Edge, ...]):
         if p < 0:
             raise ValidationError("vertex count must be nonnegative")
+        _refuse_huge(p, len(edges))
         prev = None
         for u, v in edges:
             if u == v:
@@ -108,6 +117,23 @@ class Graph(Frozen):
         return tuple(v for v in range(self.p) if not self._adj[v])
 
 
+def has_isolated_edge(g: Graph) -> bool:
+    """An edge whose endpoints have no other edge: no edge labeling of g
+    is local antimagic, as both endpoints weigh its label."""
+    return any(g.degree(u) == 1 and g.degree(v) == 1 for u, v in g.edges)
+
+
+def is_cycle(g: Graph) -> bool:
+    """Connected and 2-regular: the walk from vertex 0 meets every vertex."""
+    if g.p < 3 or any(g.degree(v) != 2 for v in range(g.p)):
+        return False
+    prev, v, length = 0, g.neighbors(0)[0], 1
+    while v:
+        a, b = g.neighbors(v)
+        prev, v, length = v, b if a == prev else a, length + 1
+    return length == g.p
+
+
 # ---------------------------------------------------------------------------
 # Combinators
 
@@ -143,20 +169,24 @@ def _complete(n: int) -> Graph:
     return Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
-# kind -> (least value of each parameter, builder).  Cone families (wheel,
-# fan, joins with K1) put the apex last, so the base keeps indices 0..n-1.
+# kind -> (least value of each parameter, (order, size) of an instance,
+# builder).  Cone families (wheel, fan, joins with K1) put the apex last, so
+# the base keeps indices 0..n-1.
 _FAMILIES = {
-    "empty": ((0,), lambda n: Graph(n, ())),
-    "path": ((1,), _path),
-    "cycle": ((3,), _cycle),
-    "complete": ((0,), _complete),
-    "complete_bipartite": ((0, 0), lambda a, b: Graph.from_edges(
+    "empty": ((0,), lambda n: (n, 0), lambda n: Graph(n, ())),
+    "path": ((1,), lambda n: (n, n - 1), _path),
+    "cycle": ((3,), lambda n: (n, n), _cycle),
+    "complete": ((0,), lambda n: (n, n * (n - 1) // 2), _complete),
+    "complete_bipartite": ((0, 0), lambda a, b: (a + b, a * b), lambda a, b: Graph.from_edges(
         a + b, [(i, a + j) for i in range(a) for j in range(b)])),
-    "wheel": ((3,), lambda n: join(_cycle(n), Graph(1, ()))),
-    "fan": ((1,), lambda n: join(_path(n), Graph(1, ()))),
-    "k2_plus_empty": ((0,), lambda n: disjoint_union(_complete(2), Graph(n, ()))),
-    "join_complete_cycle": ((0, 3), lambda m, n: join(_cycle(n), _complete(m))),
-    "cycle_join_empty": ((3, 0), lambda p, m: join(_cycle(p), Graph(m, ()))),
+    "wheel": ((3,), lambda n: (n + 1, 2 * n), lambda n: join(_cycle(n), Graph(1, ()))),
+    "fan": ((1,), lambda n: (n + 1, 2 * n - 1), lambda n: join(_path(n), Graph(1, ()))),
+    "k2_plus_empty": ((0,), lambda n: (n + 2, 1),
+                      lambda n: disjoint_union(_complete(2), Graph(n, ()))),
+    "join_complete_cycle": ((0, 3), lambda m, n: (m + n, n + m * (m - 1) // 2 + m * n),
+                            lambda m, n: join(_cycle(n), _complete(m))),
+    "cycle_join_empty": ((3, 0), lambda p, m: (p + m, p + p * m),
+                         lambda p, m: join(_cycle(p), Graph(m, ()))),
 }
 
 
@@ -188,8 +218,11 @@ class FamilySpec(Frozen):
 
 
 def generate(spec: FamilySpec) -> Graph:
-    """The canonical graph of a family instance."""
-    return _FAMILIES[spec.kind][1](*spec.params)
+    """The canonical graph of a family instance, refused before it is built
+    when it would exceed `SIZE_LIMIT`."""
+    _, size, build = _FAMILIES[spec.kind]
+    _refuse_huge(*size(*spec.params))
+    return build(*spec.params)
 
 
 # ---------------------------------------------------------------------------

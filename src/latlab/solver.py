@@ -19,7 +19,7 @@ from .bounds import chi_lat_lower_bound
 from .budget import SolveBudget
 from .coloring import chromatic_lower_bound
 from .errors import IntegrityError, ParameterError, TooLargeError
-from .graph import Graph
+from .graph import Graph, has_isolated_edge, is_cycle
 from .labeling import Labeling, check
 
 _WEIGHT_TABLE_LIMIT = 10_000_000  # 80 MB of per-weight counts
@@ -116,17 +116,6 @@ def _labeling_from_assignment(g: Graph, mode: SearchMode, assign) -> Labeling:
     return Labeling(None, tuple(assign))
 
 
-def _is_cycle(g: Graph) -> bool:
-    """Connected and 2-regular: the walk from vertex 0 meets every vertex."""
-    if g.p < 3 or any(g.degree(v) != 2 for v in range(g.p)):
-        return False
-    prev, v, length = 0, g.neighbors(0)[0], 1
-    while v:
-        a, b = g.neighbors(v)
-        prev, v, length = v, b if a == prev else a, length + 1
-    return length == g.p
-
-
 def _orbit(g: Graph, mode: SearchMode):
     """Slots that automorphisms of g map onto one another, any one onto any
     other: the vertices (total mode) or edges (edge mode) of a complete
@@ -135,7 +124,7 @@ def _orbit(g: Graph, mode: SearchMode):
     total = mode is SearchMode.TOTAL
     if 2 * g.q == g.p * (g.p - 1):
         slots = range(g.p) if total else range(g.q)
-    elif _is_cycle(g):
+    elif is_cycle(g):
         slots = range(g.p, g.p + g.q) if total else range(g.q)
     else:
         return ()
@@ -160,10 +149,6 @@ def _draws(count):
             out.append(seed >> 32)
         _DRAWS = tuple(out)
     return _DRAWS
-
-
-def _has_isolated_edge(g: Graph) -> bool:
-    return any(g.degree(u) == 1 and g.degree(v) == 1 for u, v in g.edges)
 
 
 class _Search:
@@ -448,7 +433,7 @@ def solve_min_distinct(g: Graph, mode: SearchMode,
     exhausted), never a wrong exact answer.
     """
     mode = SearchMode(mode)
-    if mode is SearchMode.EDGE and _has_isolated_edge(g):
+    if mode is SearchMode.EDGE and has_isolated_edge(g):
         return SolveResult("infeasible")
     srch = _Search(g, mode, budget, _orbit(g, mode))  # starts the clock
     lower = max(1, chi_lat_lower_bound(g) if mode is SearchMode.TOTAL
@@ -496,7 +481,7 @@ def find_with_at_most_k(g: Graph, k: int, mode: SearchMode,
     if k < 1:
         raise ParameterError(f"k must be >= 1, got {k}")
     mode = SearchMode(mode)
-    if mode is SearchMode.EDGE and _has_isolated_edge(g):
+    if mode is SearchMode.EDGE and has_isolated_edge(g):
         return FeasibilityResult("none")
     srch = _Search(g, mode, budget, _orbit(g, mode))
     if next(srch.labelings(k), None) is None:

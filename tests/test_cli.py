@@ -1,8 +1,16 @@
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import latlab
 from latlab.cli import main
+
+SRC = Path(latlab.__file__).resolve().parent
 
 
 def run(capsys, *argv):
@@ -235,7 +243,7 @@ class TestAtlas:
         entries = list(cache.glob("*.json"))
         assert len(entries) == 1
         doc = json.loads(entries[0].read_text())
-        doc["value"] = 99  # tamper: certificate no longer witnesses the value
+        doc["certificate"]["distinct"] = 99  # tamper: the certificate no longer re-verifies
         entries[0].write_text(json.dumps(doc))
         code, out, _ = run(capsys, "atlas", str(stream), "--mode", "total", "--json")
         record = json.loads(out.splitlines()[0])
@@ -251,3 +259,37 @@ class TestAtlas:
         code, out, err = run(capsys, "atlas", str(stream), "--mode", "total")
         assert code == 2 and out == ""
         assert f"cannot write cache directory {blocker}" in err
+
+
+def _capped(*argv):
+    """`latlab <argv>` in a child process limited to 1.5 GB of address space,
+    so that a graph built before its size is checked fails there."""
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000, 1_500_000_000))
+
+    return subprocess.run([sys.executable, "-m", "latlab.cli", *argv], capture_output=True,
+                          text=True, timeout=120, preexec_fn=cap,
+                          env={**os.environ, "PYTHONPATH": str(SRC.parent)})
+
+
+class TestHugeInputs:
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--family", "cycle:99999999999", "--mode", "total", "--max-millis", "100"],
+        ["solve", "HUGE_FILE", "--mode", "total"],
+        ["gen", "complete", "200000"],
+        ["gen", "complete", "1415"],  # 1,000,405 edges: the least complete graph past the limit
+    ], ids=["solve-cycle", "solve-file", "gen-complete-200000", "gen-complete-1415"])
+    def test_refused_before_the_graph_is_built(self, tmp_path, argv):
+        huge = tmp_path / "huge.txt"
+        huge.write_text("p=99999999999\n")
+        proc = _capped(*[str(huge) if a == "HUGE_FILE" else a for a in argv])
+        assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
+        assert "exceeds the limit of 1000000" in proc.stderr
+
+    @pytest.mark.parametrize("argv", [
+        ["gen", "cycle", "100000"], ["bounds", "--family", "cycle:100000"],
+        ["gen", "complete", "200"], ["gen", "wheel", "1500"],
+    ], ids=["gen-cycle-100000", "bounds-cycle-100000", "gen-complete-200", "gen-wheel-1500"])
+    def test_sizes_in_use_still_run(self, argv):
+        proc = _capped(*argv)
+        assert proc.returncode == 0, proc.stderr

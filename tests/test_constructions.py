@@ -2,8 +2,8 @@ import pytest
 
 from latlab import (FamilySpec, Labeling, ParameterError, PreconditionError,
                     chi_lat_lower_bound, construct_k2_plus_empty,
-                    construct_small_odd_path, generate, path_from_cycle,
-                    solve_min_distinct, verify)
+                    construct_small_odd_path, disjoint_union, generate,
+                    path_from_cycle, solve_min_distinct, verify)
 
 
 class TestK2PlusEmpty:
@@ -112,3 +112,10 @@ class TestPathFromCycle:
         f = Labeling((1, 2, 3, 4), (5, 6, 7))
         with pytest.raises(PreconditionError, match="cycle"):
             path_from_cycle(p4, f, 0)
+        # two triangles: 2-regular, with a valid labeling and a doomed edge labeled 1
+        c3 = generate(FamilySpec("cycle", (3,)))
+        two_c3 = disjoint_union(c3, c3)
+        f = Labeling((10, 2, 8, 12, 5, 4), (1, 9, 6, 3, 11, 7))
+        assert verify(two_c3, f).valid
+        with pytest.raises(PreconditionError, match="not a cycle"):
+            path_from_cycle(two_c3, f, 0)

@@ -1,11 +1,13 @@
 import copy
+import itertools
 import pickle
 
 import pytest
 
-from latlab import (FamilySpec, Graph, ParameterError, ParseError, ValidationError,
-                    disjoint_union, format_graph, generate, graph6_decode,
+from latlab import (FamilySpec, Graph, ParameterError, ParseError, TooLargeError,
+                    ValidationError, disjoint_union, format_graph, generate, graph6_decode,
                     graph6_encode, join, parse_graph)
+from latlab.graph import _FAMILIES, SIZE_LIMIT
 
 
 def fam(kind, *params):
@@ -133,6 +135,21 @@ def test_family_least_parameters(kind):
     for params in (least[:-1], least + (0,)):
         with pytest.raises(ParameterError):
             FamilySpec(kind, params)
+
+
+@pytest.mark.parametrize("kind", sorted(LEAST))
+def test_family_size_formula_matches_the_built_graph(kind):
+    # generate refuses a family instance past SIZE_LIMIT from this formula alone
+    least, size, _ = _FAMILIES[kind]
+    for shift in itertools.product(range(3), repeat=len(least)):
+        params = tuple(x + d for x, d in zip(least, shift))
+        g = generate(FamilySpec(kind, params))
+        assert size(*params) == (g.p, g.q), params
+
+
+def test_graph_past_the_size_limit_is_refused():
+    with pytest.raises(TooLargeError, match="exceeds the limit"):
+        Graph(SIZE_LIMIT + 1, ())
 
 
 class TestCombinators:

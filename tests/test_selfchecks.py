@@ -150,3 +150,11 @@ def test_each_command_loads_only_its_modules(tmp_path, monkeypatch, capsys):
     out, loaded = _loaded_by(["atlas", str(stream)], tmp_path / "cache")
     assert out.count("cached=True") == 2 and "latlab.cache" in loaded
     assert not loaded & NEVER_LOADED_BY_CHECKS
+
+
+def test_atlas_without_a_cache_makes_no_certificate(tmp_path):
+    stream = tmp_path / "two.g6"
+    stream.write_text("Dhc\nCF\n")
+    out, loaded = _loaded_by(["atlas", str(stream)])
+    assert out.count("cached=False") == 2 and "latlab.solver" in loaded
+    assert "latlab.certificate" not in loaded
