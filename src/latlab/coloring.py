@@ -24,12 +24,18 @@ def _greedy_upper(g: Graph) -> int:
 
 def _greedy_clique(g: Graph) -> int:
     """Largest clique grown from each seed: its neighbours, by falling degree,
-    join while in `cand`, the common neighbours of the members so far."""
+    join while in `cand`, the common neighbours of the members so far.  A
+    seed of degree + 1 <= best, or a clique with size + |cand| <= best,
+    cannot beat the best so far and is dropped."""
     adj = [frozenset(g.neighbors(v)) for v in range(g.p)]
     best = 1 if g.p else 0
     for seed in range(g.p):
         size, cand = 1, adj[seed]
+        if len(cand) < best:
+            continue
         for v in sorted(g.neighbors(seed), key=lambda v: -g.degree(v)):
+            if size + len(cand) <= best:
+                break
             if v in cand:
                 size += 1
                 cand = cand & adj[v]
@@ -37,26 +43,30 @@ def _greedy_clique(g: Graph) -> int:
     return best
 
 
-def _colorable(g: Graph, k: int, order) -> bool:
-    color = [-1] * g.p
-
-    def place(i: int, used: int) -> bool:
+def _colorable(g: Graph, k: int, order):
+    """Yield every proper colouring of g into at most k unordered classes,
+    as a list of colours 0..k-1 per vertex (one list, changed in place when
+    resumed).  Along `order` a vertex takes at most one colour above those
+    used so far, which keeps one colouring of each partition."""
+    color = [-1] * g.p  # -1 until placed, so a vertex tries colour 0 first
+    nbrs = [g.neighbors(v) for v in range(g.p)]
+    used = [0] * (len(order) + 1)  # colours used before position i
+    i = 0
+    while i >= 0:
         if i == len(order):
-            return True
-        v = order[i]
-        forbidden = {color[u] for u in g.neighbors(v) if color[u] >= 0}
-        # allow at most one fresh color to break color-permutation symmetry
-        limit = min(k, used + 1)
-        for c in range(limit):
-            if c in forbidden:
-                continue
-            color[v] = c
-            if place(i + 1, max(used, c + 1)):
-                return True
+            yield color
+            i -= 1
+            continue
+        v, limit = order[i], min(k, used[i] + 1)
+        c = color[v] + 1
+        while c < limit and any(color[u] == c for u in nbrs[v]):
+            c += 1
+        if c < limit:
+            color[v], used[i + 1] = c, max(used[i], c + 1)
+            i += 1
+        else:
             color[v] = -1
-        return False
-
-    return place(0, 0)
+            i -= 1
 
 
 def chromatic_lower_bound(g: Graph) -> int:
@@ -77,6 +87,6 @@ def chromatic_number(g: Graph) -> int:
     upper = _greedy_upper(g)
     order = sorted(range(g.p), key=lambda v: -g.degree(v))
     for k in range(lower, upper):
-        if _colorable(g, k, order):
+        if next(_colorable(g, k, order), None) is not None:
             return k
     return upper

@@ -4,7 +4,10 @@ solve_min_distinct / find_with_at_most_k run a pruned backtracking search
 over label slots, filled in a static order that completes the most
 constrained vertex first; iter_valid_labelings lists every labeling in that
 order.  solve_min_distinct first looks for a witness at the lower bound by
-a seeded annealing pass, then searches below each labeling found.
+a seeded annealing pass, then searches below each labeling found.  Two
+weights are decided class first (`_Search.two_weights`): each proper
+colouring into two classes, then each pair of class weights, then the
+labels.
 """
 
 from __future__ import annotations
@@ -13,11 +16,12 @@ import heapq
 import sys
 import time
 from enum import Enum
+from itertools import chain
 from typing import NamedTuple, Optional
 
 from .bounds import chi_lat_lower_bound
 from .budget import SolveBudget
-from .coloring import chromatic_lower_bound
+from .coloring import _colorable, chromatic_lower_bound
 from .errors import IntegrityError, ParameterError, TooLargeError
 from .graph import Graph, has_isolated_edge, is_cycle
 from .labeling import Labeling, check
@@ -25,6 +29,7 @@ from .labeling import Labeling, check
 _WEIGHT_TABLE_LIMIT = 10_000_000  # 80 MB of per-weight counts
 _ANNEAL_MOVES = 4_096  # most moves of the witness search before the tree; 0 skips it
 _MOVE_NODES = 8  # search nodes charged per move
+_CLASS_FIRST = True  # decide k = 2 by `_Search.two_weights`; False searches the tree
 # ceil(e**-4 * 2**32): a Metropolis draw this high refuses any move uphill
 # by 1 or more below temperature 0.25, where every move of `anneal` is tested
 _REFUSE = 78_665_071
@@ -151,6 +156,44 @@ def _draws(count):
     return _DRAWS
 
 
+def _class_weights(n, q, size, lo, hi):
+    """The pairs of distinct class weights (w1, w2) of a colouring into two
+    classes of `size` vertices: each within lo..hi of its class, and
+    meeting the sum identity of `_Search.two_weights`."""
+    a, b = size
+    if n > q:  # total mode: all N labels, plus the q edge labels once more
+        least = n * (n + 1) // 2 + q * (q + 1) // 2
+        most = least + q * (n - q)
+        for w1 in range(lo[0], hi[0] + 1):
+            for w2 in range(max(lo[1], -((a * w1 - least) // b)),
+                            min(hi[1], (most - a * w1) // b) + 1):
+                if w2 != w1:
+                    yield w1, w2
+    else:  # edge mode: each class sums every edge label once
+        half = q * (q + 1) // 2
+        w1, w2 = half // a, half // b
+        if (w1 * a == w2 * b == half and w1 != w2
+                and lo[0] <= w1 <= hi[0] and lo[1] <= w2 <= hi[1]):
+            yield w1, w2
+
+
+def _bipartite(g: Graph) -> bool:
+    """Whether g has no odd cycle: a search that 2-colours each component."""
+    side = [-1] * g.p
+    for root in range(g.p):
+        if side[root] < 0:
+            side[root], stack = 0, [root]
+            while stack:
+                v = stack.pop()
+                for u in g.neighbors(v):
+                    if side[u] < 0:
+                        side[u] = 1 - side[v]
+                        stack.append(u)
+                    elif side[u] == side[v]:
+                        return False
+    return True
+
+
 class _Search:
     """Backtracking over label slots with incremental weight bookkeeping.
 
@@ -205,7 +248,9 @@ class _Search:
         call, so a restart starts clean and a solve the witness search
         closes never makes them.  With `allowed` weights present, a label
         that would add one is refused by one `wcount` read, unapplied, and
-        still counts its node, so the tree is that of applying it.  At most
+        still counts its node, so the tree is that of applying it; so is a
+        label completing both ends of an edge that would add two with one
+        to spare.  At most
         p - 1 weights precede a vertex's completion: max(p, 1) refuses none."""
         if self.deadline is not None and time.monotonic() > self.deadline:
             self.cut = True  # set-up outlasted the budget: search no node
@@ -239,18 +284,31 @@ class _Search:
                     while label <= floor:
                         label = nxt[label]
             while True:  # try labels from `label` up; out of labels, back up
-                if done and distinct == allowed:
+                if done and distinct >= allowed - 1:
                     # refuse unapplied a label giving done[0] a weight no
-                    # vertex has yet
+                    # vertex has yet; completing both ends of an edge, one
+                    # giving them more such weights than `allowed` has room for
                     base = wpart[done[0]]
-                    while label <= n and not wcount[base + label]:
-                        nodes += 1
-                        if nodes >= stop:
-                            if nodes > limit or monotonic() > deadline:
-                                self.nodes, self.cut = nodes, True
-                                return
-                            stop = min(limit + 1, nodes + 1024)
-                        label = nxt[label]
+                    if len(done) > 1:
+                        other, room = wpart[done[1]], allowed - distinct
+                        while label <= n and ((not wcount[base + label])
+                                              + (not wcount[other + label]) > room):
+                            nodes += 1
+                            if nodes >= stop:
+                                if nodes > limit or monotonic() > deadline:
+                                    self.nodes, self.cut = nodes, True
+                                    return
+                                stop = min(limit + 1, nodes + 1024)
+                            label = nxt[label]
+                    elif distinct == allowed:
+                        while label <= n and not wcount[base + label]:
+                            nodes += 1
+                            if nodes >= stop:
+                                if nodes > limit or monotonic() > deadline:
+                                    self.nodes, self.cut = nodes, True
+                                    return
+                                stop = min(limit + 1, nodes + 1024)
+                            label = nxt[label]
                 if label > n:
                     if depth == 0:
                         self.nodes = nodes
@@ -301,6 +359,153 @@ class _Search:
             assign[s] = label
             nxt[prv[label]], prv[nxt[label]] = nxt[label], prv[label]
             depth += 1
+
+    def two_weights(self, lower):
+        """Look for a labeling with at most two weights, class first.
+
+        Its weight classes are a proper colouring into at most two classes.
+        So for each colouring (`coloring._colorable`, along the vertices in
+        the order the slots first touch them) and each pair of distinct
+        class weights that fits it, the slots are filled to meet those
+        weights (`_fill`).  A vertex fed by r slots weighs r(r+1)/2 ..
+        rn - r(r-1)/2, and a class weight lies in all its members' ranges.
+        The weights sum to every label plus the edge labels once more: in
+        total mode, sum |C_i| w_i - N(N+1)/2 is a sum of q labels of 1..N;
+        in edge mode every edge joins the two classes, so each class sums
+        to q(q+1)/2.  Each colouring and each pair costs one node.  A lower
+        bound above 2, or an odd cycle, refutes two weights with no node.
+        Returns the number of weights of the labeling left in `assign`, or
+        None when none exists or `cut` is set, under the budget rules of
+        `labelings`."""
+        if self.deadline is not None and time.monotonic() > self.deadline:
+            self.cut = True
+            return None
+        g, n, p = self.g, self.n, self.g.p
+        if lower > 2 or not _bipartite(g):
+            return None
+        if not g.q:  # any labeling: each vertex weighs its label, or 0 in edge mode
+            self.assign[:] = range(1, n + 1)
+            return n or min(p, 1)
+        reach = [(m * (m + 1) // 2, m * n - m * (m - 1) // 2) for m in range(n + 1)]
+        vlo, vhi = zip(*(reach[len(slots)] for slots in self.vslots))
+        # per step: its slot and the vertices it touches; the vertex it
+        # completes (-1 for none) and the second it completes, else the
+        # first again; then two vertices it touches and leaves open, each
+        # with the least and greatest sum of its m labels still to come and
+        # whether m is 1, the spare vertex p with bounds nothing breaks
+        # standing in for a missing one
+        left, fsteps = [len(slots) for slots in self.vslots] + [0], []
+        for s, ta, tb, done, _, _ in self.steps:
+            opens = []
+            for u in (ta, tb) if tb < p else (ta,):
+                left[u] -= 1
+                if left[u]:
+                    opens.append((u, *reach[left[u]], left[u] == 1))
+            opens += [(p, -sys.maxsize, sys.maxsize, False)] * 2
+            v0 = done[0] if done else -1
+            fsteps.append((s, ta, tb, v0, done[-1] if done else v0, *opens[0], *opens[1]))
+        seen = dict.fromkeys(v for step in self.steps for v in step[1:3] if v < p)
+        order = [*seen, *(v for v in range(p) if v not in seen)]
+        taken = [0] * (n + 1)  # labels in use, none after a fill that finds nothing
+        limit = self.max_nodes if self.max_nodes is not None else sys.maxsize
+        for color in _colorable(g, 2, order):
+            size, lo, hi = [0, 0], [0, 0], [sys.maxsize] * 2
+            for v, c in enumerate(color):
+                size[c] += 1
+                lo[c], hi[c] = max(lo[c], vlo[v]), min(hi[c], vhi[v])
+            for w in chain((None,), _class_weights(n, g.q, size, lo, hi)):
+                self.nodes += 1  # the colouring's node, then each pair's
+                if self.nodes > limit or (not self.nodes & 1023 and self.deadline is not None
+                                          and time.monotonic() > self.deadline):
+                    self.cut = True
+                    return None
+                if w and self._fill([w[c] for c in color] + [0], fsteps, taken):
+                    return 2
+                if self.cut:
+                    return None
+        return None
+
+    def _fill(self, rem, fsteps, taken):
+        """Fill the slots in the static order so that each vertex v's
+        labels sum to rem[v], which each placed label lowers; True leaves
+        the labeling in `assign`.  A slot completing v tries only rem[v], if
+        the second vertex it completes needs the same, one node.  Any other
+        slot tries, in ascending order and one node each, the free labels
+        that leave each open vertex it touches a remainder its m slots to
+        come can reach: m(m+1)/2 .. mn - m(m-1)/2, and for m = 1 another
+        free label.  A fill that finds nothing leaves `taken` as it found
+        it."""
+        n, assign = self.n, self.assign
+        limit = self.max_nodes if self.max_nodes is not None else sys.maxsize
+        deadline, monotonic, nodes = self.deadline, time.monotonic, self.nodes
+        stop = limit + 1 if deadline is None else min(limit + 1, (nodes | 1023) + 1)
+        tops = [0] * n  # the last label a free slot may take, per depth
+        depth = label = 0  # label 0 enters a depth; above, resumes its scan there
+        while True:
+            s, ta, tb, v0, v1, ua, la, ha, ka, ub, lb, hb, kb = fsteps[depth]
+            ra, rb = rem[ua], rem[ub]
+            if v0 >= 0:  # forced
+                nodes += 1
+                if nodes >= stop:
+                    if nodes > limit or monotonic() > deadline:
+                        self.nodes, self.cut = nodes, True
+                        return False
+                    stop = min(limit + 1, nodes + 1024)
+                label = top = rem[v0]
+                if not (0 < label <= n and not taken[label] and rem[v1] == label
+                        and la <= ra - label <= ha
+                        and not (ka and (taken[ra - label] or ra == 2 * label))):
+                    label, top = 1, 0
+            else:
+                if label:
+                    top = tops[depth]
+                else:
+                    label, top = ra - ha, ra - la
+                    if rb - hb > label:
+                        label = rb - hb
+                    if rb - lb < top:
+                        top = rb - lb
+                    if label < 1:
+                        label = 1
+                    if top > n:
+                        top = n
+                while label <= top:
+                    if not taken[label]:
+                        nodes += 1
+                        if nodes >= stop:
+                            if nodes > limit or monotonic() > deadline:
+                                self.nodes, self.cut = nodes, True
+                                return False
+                            stop = min(limit + 1, nodes + 1024)
+                        if not (ka and (taken[ra - label] or ra == 2 * label)
+                                or kb and (taken[rb - label] or rb == 2 * label)):
+                            break
+                    label += 1
+            if label > top:  # out of labels: back up to a free slot's next one
+                while True:
+                    if depth == 0:
+                        self.nodes = nodes
+                        return False
+                    depth -= 1
+                    s, ta, tb, v0, _, _, _, _, _, _, _, _, _ = fsteps[depth]
+                    label = assign[s]
+                    taken[label] = 0
+                    rem[ta] += label
+                    rem[tb] += label
+                    if v0 < 0:
+                        break
+                label += 1
+                continue
+            tops[depth] = top
+            assign[s] = label
+            taken[label] = 1
+            rem[ta] -= label
+            rem[tb] -= label
+            depth += 1
+            if depth == n:
+                self.nodes = nodes
+                return True
+            label = 0
 
     def anneal(self, lower, moves):
         """Look for a labeling with `lower` weights by simulated annealing
@@ -428,7 +633,8 @@ def solve_min_distinct(g: Graph, mode: SearchMode,
     lower bound is the answer.  Otherwise a fixed-k search, with the orbit
     cut of `_orbit`, restarts below each labeling found, with the rest of
     the budget, until one meets the lower bound or a search closes finding
-    none, which refutes best - 1 weights.  A closed search gives an exact
+    none, which refutes best - 1 weights.  The restart below 3 weights is
+    class first (`_Search.two_weights`).  A closed search gives an exact
     value with a verified certificate; budget exhaustion yields bounds (or
     exhausted), never a wrong exact answer.
     """
@@ -451,7 +657,10 @@ def solve_min_distinct(g: Graph, mode: SearchMode,
     if moves:
         best, assign = srch.anneal(lower, moves)
     while best is None or best > lower:  # restart below the incumbent
-        found = next(srch.labelings(max(g.p, 1) if best is None else best - 1), None)
+        if best == 3 and _CLASS_FIRST:
+            found = srch.two_weights(lower)
+        else:
+            found = next(srch.labelings(max(g.p, 1) if best is None else best - 1), None)
         if found is None:
             break
         best, assign = found, list(srch.assign)
@@ -477,6 +686,8 @@ def find_with_at_most_k(g: Graph, k: int, mode: SearchMode,
     """Find any valid labeling with at most k distinct weights.
 
     Distinguishes found / definitively-none / unknown (budget ran out).
+    Two weights are decided class first (`_Search.two_weights`), any
+    other k by the tree.
     """
     if k < 1:
         raise ParameterError(f"k must be >= 1, got {k}")
@@ -484,7 +695,12 @@ def find_with_at_most_k(g: Graph, k: int, mode: SearchMode,
     if mode is SearchMode.EDGE and has_isolated_edge(g):
         return FeasibilityResult("none")
     srch = _Search(g, mode, budget, _orbit(g, mode))
-    if next(srch.labelings(k), None) is None:
+    if k == 2 and _CLASS_FIRST:
+        found = srch.two_weights(chi_lat_lower_bound(g) if mode is SearchMode.TOTAL
+                                 else chromatic_lower_bound(g))
+    else:
+        found = next(srch.labelings(k), None)
+    if found is None:
         return FeasibilityResult("unknown" if srch.cut else "none", nodes_explored=srch.nodes)
     cert = _labeling_from_assignment(g, mode, srch.assign)
     _check_witness(g, cert, None)

@@ -1,5 +1,5 @@
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -7,7 +7,7 @@ from latlab import (FamilySpec, Graph, SolveBudget, TooLargeError, bounds_report
                     chi_lat_lower_bound, chi_lat_upper_bound_via_cone,
                     chromatic_number, generate, known_value, solve_min_distinct,
                     verify)
-from latlab.coloring import _greedy_clique
+from latlab.coloring import _colorable, _greedy_clique
 from latlab.graph import join
 from oracle import greedy_clique_by_edge_scan
 
@@ -46,6 +46,43 @@ class TestChromaticNumber:
                                                    if rng.random() < density]))
         assert [_greedy_clique(g) for g in graphs] == \
             [greedy_clique_by_edge_scan(g) for g in graphs]
+
+
+    def test_greedy_clique_drops_seeds_that_cannot_win(self):
+        # K60: the first seed's clique holds every vertex, so no other seed
+        # sorts its neighbours; each visit reads `neighbors` or `degree` once
+        class Counted:
+            def __init__(self, g):
+                self.p, self.g, self.reads = g.p, g, 0
+
+            def neighbors(self, v):
+                self.reads += 1
+                return self.g.neighbors(v)
+
+            def degree(self, v):
+                self.reads += 1
+                return self.g.degree(v)
+
+        g = Counted(fam("complete", 60))
+        assert _greedy_clique(g) == 60
+        assert g.reads == 60 + 1 + 59  # every seed growing read 60 + 60 * 60
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_colourings_are_the_partitions(self, k):
+        # every proper colouring into at most k unordered classes, once
+        nx = pytest.importorskip("networkx")
+        for G in nx.graph_atlas_g()[:53]:  # the graphs on at most 5 vertices
+            g = Graph.from_edges(G.number_of_nodes(), G.edges())
+
+            def partition(color):
+                return frozenset(frozenset(v for v in range(g.p) if color[v] == c)
+                                 for c in set(color))
+
+            order = sorted(range(g.p), key=lambda v: -g.degree(v))
+            found = [partition(color) for color in _colorable(g, k, order)]
+            every = {partition(color) for color in product(range(k), repeat=g.p)
+                     if all(color[u] != color[v] for u, v in g.edges)}
+            assert len(found) == len(set(found)) and set(found) == every, G.edges()
 
 
 class TestLowerBound:

@@ -62,9 +62,11 @@ class TestSolve:
                            "--k", "2", "--json")
         assert code == 0 and json.loads(out)["status"] == "found"
 
-    def test_family_and_file_search_the_same_tree(self, capsys, tmp_path):
-        # the symmetry cut is read off the graph, not from --family
+    def test_family_and_file_search_the_same_tree(self, capsys, tmp_path, monkeypatch):
+        # the symmetry cut is read off the graph, not from --family; the
+        # class-first engine, which decides k = 2 without it, is off
         import latlab
+        monkeypatch.setattr(latlab.solver, "_CLASS_FIRST", False)
         path = tmp_path / "c5.txt"
         path.write_text(latlab.format_graph(latlab.generate(latlab.FamilySpec("cycle", (5,)))))
         for source in (["--family", "cycle:5"], [str(path)]):

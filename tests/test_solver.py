@@ -3,6 +3,7 @@ import math
 import random
 import sys
 import time
+from functools import lru_cache
 from itertools import combinations, count
 from pathlib import Path
 from types import SimpleNamespace
@@ -14,6 +15,7 @@ from latlab import (FamilySpec, Graph, IntegrityError, Labeling, ParameterError,
                     generate, iter_valid_labelings, solve_min_distinct, verify)
 from latlab import chi_lat_lower_bound, solver
 from latlab.coloring import chromatic_lower_bound
+from latlab.graph import graph6_decode
 from latlab.solver import SearchMode, _orbit, _Search, _slot_order
 from oracle import anneal_by_rescoring, brute_force_min_distinct
 
@@ -22,12 +24,15 @@ QUICK = SolveBudget(max_nodes=50_000_000, max_millis=120_000)
 
 @pytest.fixture
 def no_phase(monkeypatch):
-    """The annealing witness search off, so solves search the pinned tree."""
+    """The annealing witness search and the class-first engine off, so
+    solves search the pinned tree."""
     monkeypatch.setattr(solver, "_ANNEAL_MOVES", 0)
+    monkeypatch.setattr(solver, "_CLASS_FIRST", False)
 
 
 # each rule of a solve, and the solver attribute and value that switch it off
-RULES = {"orbit cut": ("_orbit", lambda g, mode: ()), "witness pass": ("_ANNEAL_MOVES", 0)}
+RULES = {"orbit cut": ("_orbit", lambda g, mode: ()), "witness pass": ("_ANNEAL_MOVES", 0),
+         "class first": ("_CLASS_FIRST", False)}
 
 
 def switched_off(monkeypatch):
@@ -42,6 +47,17 @@ def switched_off(monkeypatch):
 
 def fam(kind, *params):
     return generate(FamilySpec(kind, params))
+
+
+@lru_cache(maxsize=None)
+def atlas_oracle(mode, max_universe):
+    """(index, graph, brute-force result) for every atlas graph whose label
+    universe holds at most `max_universe` labels."""
+    nx = pytest.importorskip("networkx")
+    graphs = [(i, Graph.from_edges(G.number_of_nodes(), G.edges()))
+              for i, G in enumerate(nx.graph_atlas_g())]
+    return tuple((i, g, brute_force_min_distinct(g, mode)) for i, g in graphs
+                 if (g.p + g.q if mode == "total" else g.q) <= max_universe)
 
 
 # connected graphs on <= 4 vertices, one per isomorphism class
@@ -172,20 +188,15 @@ class TestSolve:
     @pytest.mark.parametrize("mode,max_universe", [("total", 9), ("edge", 7)])
     def test_oracle_agreement_atlas(self, monkeypatch, mode, max_universe):
         # every graph on <= 7 vertices whose label universe the oracle
-        # enumerates quickly, with both rules on and with each one off
-        nx = pytest.importorskip("networkx")
-        graphs = [(i, Graph.from_edges(G.number_of_nodes(), G.edges()))
-                  for i, G in enumerate(nx.graph_atlas_g())]
-        graphs = [(i, g) for i, g in graphs
-                  if (g.p + g.q if mode == "total" else g.q) <= max_universe]
+        # enumerates quickly, with every rule on and with each one off
+        graphs = atlas_oracle(mode, max_universe)
         assert len(graphs) == {"total": 45, "edge": 273}[mode]
-        oracle = {i: brute_force_min_distinct(g, mode) for i, g in graphs}
         mismatches = []
         for rule in switched_off(monkeypatch):
-            for i, g in graphs:
+            for i, g, oracle in graphs:
                 ours = solve_min_distinct(g, mode, QUICK)
-                if (ours.status, ours.value) != (oracle[i].status, oracle[i].value):
-                    mismatches.append((i, rule, ours.status, ours.value, oracle[i].value))
+                if (ours.status, ours.value) != (oracle.status, oracle.value):
+                    mismatches.append((i, rule, ours.status, ours.value, oracle.value))
         assert mismatches == []
 
     def test_weight_counts_sized_by_the_heaviest_vertex(self):
@@ -229,8 +240,8 @@ class TestFindWithAtMostK:
         assert res.status == "found" and verify(g, res.certificate).valid
 
     def test_unknown_on_tiny_budget(self):
-        res = find_with_at_most_k(fam("cycle", 7), 2, "total", SolveBudget(max_nodes=5))
-        assert res.status == "unknown"
+        res = find_with_at_most_k(fam("cycle", 8), 2, "total", SolveBudget(max_nodes=5))
+        assert (res.status, res.nodes_explored) == ("unknown", 6)
 
     def test_k_validation(self):
         with pytest.raises(ParameterError):
@@ -615,6 +626,99 @@ class TestWitnessPhase:
         assert (ref_best, ref_made) == (best, made)
         assert srch.anneal(lower, moves) == (ref_best, ref_labels)
         assert srch.nodes == made * solver._MOVE_NODES
+
+
+class TestClassFirst:
+    """k = 2 is decided class first: each proper colouring into at most
+    two classes, then each pair of class weights that fits it, then the
+    labels, each completing label forced.  `_CLASS_FIRST = False` searches
+    the tree instead."""
+
+    @pytest.mark.parametrize("mode,max_universe", [("total", 9), ("edge", 7)])
+    def test_agrees_with_the_oracle(self, mode, max_universe):
+        # found exactly where the least weight count is at most 2, and
+        # every witness has at most 2 weights
+        mismatches = []
+        for i, g, oracle in atlas_oracle(mode, max_universe):
+            res = find_with_at_most_k(g, 2, mode, QUICK)
+            two = oracle.status == "exact" and oracle.value <= 2
+            if res.status != ("found" if two else "none"):
+                mismatches.append((i, res.status, oracle.status, oracle.value))
+            elif two:
+                report = verify(g, res.certificate)
+                assert report.valid and report.profile.distinct_count <= 2, i
+        assert mismatches == []
+
+    @pytest.mark.parametrize("mode,both,decided", [("total", 7, 106), ("edge", 50, 112)])
+    def test_agrees_with_the_tree_on_connected_6_vertex_graphs(self, monkeypatch, mode,
+                                                               both, decided):
+        # at 50,000 nodes each: the same verdict wherever both decide
+        nx = pytest.importorskip("networkx")
+        graphs = [Graph.from_edges(6, G.edges()) for G in nx.graph_atlas_g()
+                  if G.number_of_nodes() == 6 and nx.is_connected(G)]
+        assert len(graphs) == 112
+        budget = SolveBudget(max_nodes=50_000)
+        verdicts = []
+        for g in graphs:
+            ours = find_with_at_most_k(g, 2, mode, budget).status
+            with monkeypatch.context() as m:
+                m.setattr(solver, *RULES["class first"])
+                verdicts.append((ours, find_with_at_most_k(g, 2, mode, budget).status))
+        closed = [(ours, tree) for ours, tree in verdicts if "unknown" not in (ours, tree)]
+        assert len(closed) == both and all(ours == tree for ours, tree in closed)
+        assert sum(ours != "unknown" for ours, _ in verdicts) == decided
+
+    @pytest.mark.parametrize("g,mode,nodes", [
+        # C4 ∪ K1, 253,065 tree nodes; in edge mode the isolated vertex's
+        # class of weight 0 holds a vertex of each C4 class
+        (graph6_decode("Dl?"), "total", 3_923), (graph6_decode("Dl?"), "edge", 2),
+        # atlas 79, a double star: 8,837,743 tree nodes
+        (Graph.from_edges(6, [(0, 1), (0, 2), (0, 3), (3, 4), (3, 5)]), "total", 49_327),
+        # a lower bound above 2 refutes with no node: an odd cycle, an edgeless graph
+        (fam("cycle", 5), "total", 0), (fam("cycle", 5), "edge", 0),
+        (fam("cycle", 7), "total", 0), (fam("empty", 3), "total", 0),
+    ])
+    def test_refutations(self, g, mode, nodes):
+        res = find_with_at_most_k(g, 2, mode, QUICK)
+        assert (res.status, res.nodes_explored) == ("none", nodes)
+
+    @pytest.mark.parametrize("g,mode,nodes", [
+        (fam("cycle", 4), "total", 3_693), (fam("path", 7), "total", 18_790),
+        # no edge: every labeling will do, and no node is searched
+        (fam("empty", 3), "edge", 0), (fam("empty", 2), "total", 0),
+    ])
+    def test_witnesses(self, g, mode, nodes):
+        res = find_with_at_most_k(g, 2, mode, QUICK)
+        assert (res.status, res.nodes_explored) == ("found", nodes)
+        report = verify(g, res.certificate)
+        assert report.valid and report.profile.distinct_count <= 2
+
+    @pytest.mark.parametrize("limit", [1, 2, 3, 1_023, 1_024, 1_025, 33_333])
+    def test_capped_run_reports_the_refused_node(self, limit):
+        # P9 is found after 807,325 nodes: the budget stops each of these
+        # on a colouring's, a pair's or a label's node
+        res = find_with_at_most_k(fam("path", 9), 2, "total", SolveBudget(max_nodes=limit))
+        assert (res.status, res.nodes_explored) == ("unknown", limit + 1)
+
+    @pytest.mark.parametrize("reads,nodes", [(2, 0), (3, 1_024), (5, 3_072)])
+    def test_deadline_is_read_every_1024_nodes(self, monkeypatch, reads, nodes):
+        # one reading starts the budget, one is taken on entering the
+        # search, then one every 1,024 nodes
+        readings = count(1)
+        clock = SimpleNamespace(monotonic=lambda: 0.0 if next(readings) < reads else 1e9)
+        monkeypatch.setattr(solver, "time", clock)
+        res = find_with_at_most_k(fam("path", 9), 2, "total", SolveBudget(max_millis=1_000))
+        assert (res.status, res.nodes_explored) == ("unknown", nodes)
+
+    def test_solve_refutes_two_weights_class_first(self, monkeypatch):
+        # C4 ∪ K1 at the atlas budget: the restart below 3 weights closes
+        g, budget = graph6_decode("Dl?"), SolveBudget(max_nodes=40_000)
+        res = solve_min_distinct(g, "total", budget)
+        assert (res.status, res.value, res.nodes_explored) == ("exact", 3, 13_923)
+        monkeypatch.setattr(solver, *RULES["class first"])
+        res = solve_min_distinct(g, "total", budget)
+        assert (res.status, res.lower, res.upper, res.nodes_explored) == \
+            ("lower_upper", 2, 3, 40_001)
 
 
 class TestIterValidLabelings:
