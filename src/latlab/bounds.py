@@ -24,7 +24,7 @@ class KnownResult(NamedTuple):
 
 
 class BoundsReport(NamedTuple):
-    chromatic: int  # a clique bound above the exact-coloring order
+    chromatic: int  # above the exact-coloring order, a clique or odd-cycle bound
     isolated_count: int
     lower: int
     upper: Optional[int]
@@ -40,8 +40,9 @@ class ConeUpperBound(NamedTuple):
 
 
 def chi_lat_lower_bound(g: Graph) -> int:
-    """max(chromatic number, isolated-vertex count), with a clique bound above
-    the exact-coloring order; equals n on the edgeless graph On."""
+    """max(chromatic number, isolated-vertex count), with a clique and
+    odd-cycle bound above the exact-coloring order; equals n on the
+    edgeless graph On."""
     return max(chromatic_lower_bound(g), len(g.isolated_vertices()))
 
 

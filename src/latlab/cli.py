@@ -53,8 +53,9 @@ def _budget_from_args(args):
 
 def _add_budget_flags(sp):
     sp.add_argument("--max-nodes", type=int, default=None,
-                    help="search node limit: labels tried, plus 8 per move "
-                         "of the witness search that a solve makes first")
+                    help="search node limit: labels tried, each colouring and "
+                         "weight pair of the two-weight search, plus 8 per "
+                         "move of the witness search that a solve makes first")
     sp.add_argument("--max-millis", type=int, default=60_000,
                     help="wall-clock limit in milliseconds (default 60000)")
 

@@ -1,4 +1,5 @@
-"""Exact chromatic number for small graphs by branch and bound."""
+"""Exact chromatic number for small graphs by branch and bound, and a
+clique and odd-cycle lower bound for larger ones."""
 
 from __future__ import annotations
 
@@ -69,9 +70,31 @@ def _colorable(g: Graph, k: int, order):
             i -= 1
 
 
+def _bipartite(g: Graph) -> bool:
+    """Whether g has no odd cycle: a search that 2-colours each component."""
+    side = [-1] * g.p
+    for root in range(g.p):
+        if side[root] < 0:
+            side[root], stack = 0, [root]
+            while stack:
+                v = stack.pop()
+                for u in g.neighbors(v):
+                    if side[u] < 0:
+                        side[u] = 1 - side[v]
+                        stack.append(u)
+                    elif side[u] == side[v]:
+                        return False
+    return True
+
+
 def chromatic_lower_bound(g: Graph) -> int:
-    """The chromatic number, or above MAX_EXACT_ORDER the greedy clique size."""
-    return chromatic_number(g) if g.p <= MAX_EXACT_ORDER else _greedy_clique(g)
+    """The chromatic number, or above MAX_EXACT_ORDER the greedy clique
+    size, raised to 3 when g has an odd cycle.  So a bound of at most 2
+    means that g is bipartite: at most two weights need a 2-colouring."""
+    if g.p <= MAX_EXACT_ORDER:
+        return chromatic_number(g)
+    clique = _greedy_clique(g)
+    return clique if clique >= 3 or _bipartite(g) else 3
 
 
 def chromatic_number(g: Graph) -> int:

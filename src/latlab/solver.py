@@ -23,7 +23,7 @@ from .bounds import chi_lat_lower_bound
 from .budget import SolveBudget
 from .coloring import _colorable, chromatic_lower_bound
 from .errors import IntegrityError, ParameterError, TooLargeError
-from .graph import Graph, has_isolated_edge, is_cycle
+from .graph import Graph, has_isolated_edge
 from .labeling import Labeling, check
 
 _WEIGHT_TABLE_LIMIT = 10_000_000  # 80 MB of per-weight counts
@@ -121,21 +121,6 @@ def _labeling_from_assignment(g: Graph, mode: SearchMode, assign) -> Labeling:
     return Labeling(None, tuple(assign))
 
 
-def _orbit(g: Graph, mode: SearchMode):
-    """Slots that automorphisms of g map onto one another, any one onto any
-    other: the vertices (total mode) or edges (edge mode) of a complete
-    graph, and the edges of a cycle.  Empty for any other graph, and when
-    fewer than two such slots exist."""
-    total = mode is SearchMode.TOTAL
-    if 2 * g.q == g.p * (g.p - 1):
-        slots = range(g.p) if total else range(g.q)
-    elif is_cycle(g):
-        slots = range(g.p, g.p + g.q) if total else range(g.q)
-    else:
-        return ()
-    return tuple(slots) if len(slots) >= 2 else ()
-
-
 _DRAWS = ()  # see _draws
 
 
@@ -177,33 +162,15 @@ def _class_weights(n, q, size, lo, hi):
             yield w1, w2
 
 
-def _bipartite(g: Graph) -> bool:
-    """Whether g has no odd cycle: a search that 2-colours each component."""
-    side = [-1] * g.p
-    for root in range(g.p):
-        if side[root] < 0:
-            side[root], stack = 0, [root]
-            while stack:
-                v = stack.pop()
-                for u in g.neighbors(v):
-                    if side[u] < 0:
-                        side[u] = 1 - side[v]
-                        stack.append(u)
-                    elif side[u] == side[v]:
-                        return False
-    return True
-
-
 class _Search:
     """Backtracking over label slots with incremental weight bookkeeping.
 
     Slots are filled in the static order `_slot_order`, so the depth at
     which each vertex weight completes is fixed in advance; `steps[d]`
     holds the slot placed at depth d, the one or two vertices it touches,
-    the vertices it completes and the adjacent pairs it may set equal.
-    Of the `orbit` slots, the one placed first keeps the smallest label."""
+    the vertices it completes and the adjacent pairs it may set equal."""
 
-    def __init__(self, g: Graph, mode: SearchMode, budget: SolveBudget, orbit=()):
+    def __init__(self, g: Graph, mode: SearchMode, budget: SolveBudget):
         # the time budget covers set-up, slot ordering included
         self.deadline = (time.monotonic() + budget.max_millis / 1000.0
                          if budget.max_millis is not None else None)
@@ -222,14 +189,6 @@ class _Search:
         self.nodes = 0
         self.cut = False  # set when the budget stopped the search
         self.max_nodes = budget.max_nodes
-
-        # the orbit representative (earlier in the order) keeps the orbit's
-        # smallest label: a slot of orbit_rest starts above assign[star]
-        orbit_rest, star = (), None
-        if orbit:
-            pos = {s: i for i, s in enumerate(order)}
-            star = min(orbit, key=lambda s: pos[s])
-            orbit_rest = frozenset(orbit) - {star}
         at = {v: d for d, s in enumerate(order) for v in touches[s]}  # v completes at d
         self.steps = []
         for d, s in enumerate(order):
@@ -237,7 +196,7 @@ class _Search:
             pairs = tuple((v, u) for v in done for u in g.neighbors(v)
                           if at[u] < d or (at[u] == d and u < v))
             ta, tb = touches[s] if len(touches[s]) == 2 else (touches[s][0], g.p)
-            self.steps.append((s, ta, tb, done, pairs, star if s in orbit_rest else None))
+            self.steps.append((s, ta, tb, done, pairs))
 
     def labelings(self, allowed):
         """Yield the distinct-weight count of every complete labeling with
@@ -277,12 +236,8 @@ class _Search:
                 yield distinct
                 label = n + 1
             else:
-                s, ta, tb, done, pairs, star = steps[depth]
+                s, ta, tb, done, pairs = steps[depth]
                 label = nxt[0]
-                if star is not None:
-                    floor = assign[star]
-                    while label <= floor:
-                        label = nxt[label]
             while True:  # try labels from `label` up; out of labels, back up
                 if done and distinct >= allowed - 1:
                     # refuse unapplied a label giving done[0] a weight no
@@ -314,7 +269,7 @@ class _Search:
                         self.nodes = nodes
                         return
                     depth -= 1
-                    s, ta, tb, done, pairs, _ = steps[depth]
+                    s, ta, tb, done, pairs = steps[depth]
                     label = assign[s]
                     nxt[prv[label]] = prv[nxt[label]] = label
                     if done:
@@ -360,8 +315,10 @@ class _Search:
             nxt[prv[label]], prv[nxt[label]] = nxt[label], prv[label]
             depth += 1
 
-    def two_weights(self, lower):
-        """Look for a labeling with at most two weights, class first.
+    def two_weights(self):
+        """Look for a labeling with at most two weights, class first, on a
+        graph whose lower bound is at most 2, so a bipartite one
+        (`coloring.chromatic_lower_bound`).
 
         Its weight classes are a proper colouring into at most two classes.
         So for each colouring (`coloring._colorable`, along the vertices in
@@ -372,8 +329,7 @@ class _Search:
         The weights sum to every label plus the edge labels once more: in
         total mode, sum |C_i| w_i - N(N+1)/2 is a sum of q labels of 1..N;
         in edge mode every edge joins the two classes, so each class sums
-        to q(q+1)/2.  Each colouring and each pair costs one node.  A lower
-        bound above 2, or an odd cycle, refutes two weights with no node.
+        to q(q+1)/2.  Each colouring and each pair costs one node.
         Returns the number of weights of the labeling left in `assign`, or
         None when none exists or `cut` is set, under the budget rules of
         `labelings`."""
@@ -381,8 +337,6 @@ class _Search:
             self.cut = True
             return None
         g, n, p = self.g, self.n, self.g.p
-        if lower > 2 or not _bipartite(g):
-            return None
         if not g.q:  # any labeling: each vertex weighs its label, or 0 in edge mode
             self.assign[:] = range(1, n + 1)
             return n or min(p, 1)
@@ -395,7 +349,7 @@ class _Search:
         # whether m is 1, the spare vertex p with bounds nothing breaks
         # standing in for a missing one
         left, fsteps = [len(slots) for slots in self.vslots] + [0], []
-        for s, ta, tb, done, _, _ in self.steps:
+        for s, ta, tb, done, _ in self.steps:
             opens = []
             for u in (ta, tb) if tb < p else (ta,):
                 left[u] -= 1
@@ -630,18 +584,18 @@ def solve_min_distinct(g: Graph, mode: SearchMode,
     `_Search.anneal` first makes at most min(4,096, max_nodes // 32) moves,
     each charged as 8 nodes, and none that would take over a quarter of the
     whole tree's nodes.  A labeling it finds with as many weights as the
-    lower bound is the answer.  Otherwise a fixed-k search, with the orbit
-    cut of `_orbit`, restarts below each labeling found, with the rest of
-    the budget, until one meets the lower bound or a search closes finding
-    none, which refutes best - 1 weights.  The restart below 3 weights is
-    class first (`_Search.two_weights`).  A closed search gives an exact
-    value with a verified certificate; budget exhaustion yields bounds (or
-    exhausted), never a wrong exact answer.
+    lower bound is the answer.  Otherwise a fixed-k search restarts below
+    each labeling found, with the rest of the budget, until one meets the
+    lower bound or a search closes finding none, which refutes best - 1
+    weights.  The restart below 3 weights is class first
+    (`_Search.two_weights`).  A closed search gives an exact value with a
+    verified certificate; budget exhaustion yields bounds (or exhausted),
+    never a wrong exact answer.
     """
     mode = SearchMode(mode)
     if mode is SearchMode.EDGE and has_isolated_edge(g):
         return SolveResult("infeasible")
-    srch = _Search(g, mode, budget, _orbit(g, mode))  # starts the clock
+    srch = _Search(g, mode, budget)  # starts the clock
     lower = max(1, chi_lat_lower_bound(g) if mode is SearchMode.TOTAL
                 else chromatic_lower_bound(g))
     best = assign = None
@@ -658,7 +612,7 @@ def solve_min_distinct(g: Graph, mode: SearchMode,
         best, assign = srch.anneal(lower, moves)
     while best is None or best > lower:  # restart below the incumbent
         if best == 3 and _CLASS_FIRST:
-            found = srch.two_weights(lower)
+            found = srch.two_weights()
         else:
             found = next(srch.labelings(max(g.p, 1) if best is None else best - 1), None)
         if found is None:
@@ -686,18 +640,19 @@ def find_with_at_most_k(g: Graph, k: int, mode: SearchMode,
     """Find any valid labeling with at most k distinct weights.
 
     Distinguishes found / definitively-none / unknown (budget ran out).
-    Two weights are decided class first (`_Search.two_weights`), any
-    other k by the tree.
+    A k below the lower bound is `none` with no node; two weights are
+    decided class first (`_Search.two_weights`), any other k by the tree.
     """
     if k < 1:
         raise ParameterError(f"k must be >= 1, got {k}")
     mode = SearchMode(mode)
     if mode is SearchMode.EDGE and has_isolated_edge(g):
         return FeasibilityResult("none")
-    srch = _Search(g, mode, budget, _orbit(g, mode))
+    srch = _Search(g, mode, budget)  # starts the clock
+    if k < (chi_lat_lower_bound(g) if mode is SearchMode.TOTAL else chromatic_lower_bound(g)):
+        return FeasibilityResult("none")
     if k == 2 and _CLASS_FIRST:
-        found = srch.two_weights(chi_lat_lower_bound(g) if mode is SearchMode.TOTAL
-                                 else chromatic_lower_bound(g))
+        found = srch.two_weights()
     else:
         found = next(srch.labelings(k), None)
     if found is None:

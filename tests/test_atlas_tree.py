@@ -36,7 +36,7 @@ ATLAS_NODES = 40_000
 CUTS = (3, 17, 1023, 1024, 1025, 33333)
 FAR_MILLIS = 10**9  # a deadline that is read but never reached
 # (name, family, order, mode, k): k None is a full solve
-ANCHORS = (("w4_total_k3", "wheel", 4, "total", 3), ("c5_total_k2", "cycle", 5, "total", 2),
+ANCHORS = (("w4_total_k3", "wheel", 4, "total", 3), ("c6_total_k2", "cycle", 6, "total", 2),
            ("w5_edge_solve", "wheel", 5, "edge", None),
            ("p6_total_solve", "path", 6, "total", None))
 

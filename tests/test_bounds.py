@@ -101,6 +101,15 @@ class TestLowerBound:
         assert chi_lat_lower_bound(fam("complete", 17)) == 17
         assert bounds_report(fam("empty", 17)).lower == 17
 
+    @pytest.mark.parametrize("kind,params,lower", [
+        ("cycle", (17,), 3), ("cycle", (101,), 3), ("path", (100,), 2),
+        ("complete_bipartite", (300, 300), 2),
+    ])
+    def test_odd_cycle_beyond_exact_coloring_order(self, kind, params, lower):
+        # above order 16 a graph with an odd cycle is bounded by 3, not by
+        # its clique 2; so a bound of at most 2 means a bipartite graph
+        assert chi_lat_lower_bound(generate(FamilySpec(kind, params))) == lower
+
 
 class TestConeUpperBound:
     def test_c3(self):

@@ -62,16 +62,14 @@ class TestSolve:
                            "--k", "2", "--json")
         assert code == 0 and json.loads(out)["status"] == "found"
 
-    def test_family_and_file_search_the_same_tree(self, capsys, tmp_path, monkeypatch):
-        # the symmetry cut is read off the graph, not from --family; the
-        # class-first engine, which decides k = 2 without it, is off
+    def test_family_and_file_search_the_same_tree(self, capsys, tmp_path):
+        # the search reads only the graph, however it arrives
         import latlab
-        monkeypatch.setattr(latlab.solver, "_CLASS_FIRST", False)
-        path = tmp_path / "c5.txt"
-        path.write_text(latlab.format_graph(latlab.generate(latlab.FamilySpec("cycle", (5,)))))
-        for source in (["--family", "cycle:5"], [str(path)]):
-            code, out, _ = run(capsys, "solve", *source, "--mode", "total", "--k", "2")
-            assert (code, out) == (3, "status=none k=2 nodes=241127\n")
+        path = tmp_path / "w4.txt"
+        path.write_text(latlab.format_graph(latlab.generate(latlab.FamilySpec("wheel", (4,)))))
+        for source in (["--family", "wheel:4"], [str(path)]):
+            code, out, _ = run(capsys, "solve", *source, "--mode", "total", "--k", "3")
+            assert (code, out) == (0, "status=found k=3 nodes=3383\n")
 
     def test_feasibility_none(self, capsys):
         code, _, _ = run(capsys, "solve", "--family", "cycle:3", "--mode", "total",

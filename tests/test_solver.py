@@ -16,7 +16,7 @@ from latlab import (FamilySpec, Graph, IntegrityError, Labeling, ParameterError,
 from latlab import chi_lat_lower_bound, solver
 from latlab.coloring import chromatic_lower_bound
 from latlab.graph import graph6_decode
-from latlab.solver import SearchMode, _orbit, _Search, _slot_order
+from latlab.solver import SearchMode, _Search, _slot_order
 from oracle import anneal_by_rescoring, brute_force_min_distinct
 
 QUICK = SolveBudget(max_nodes=50_000_000, max_millis=120_000)
@@ -31,8 +31,7 @@ def no_phase(monkeypatch):
 
 
 # each rule of a solve, and the solver attribute and value that switch it off
-RULES = {"orbit cut": ("_orbit", lambda g, mode: ()), "witness pass": ("_ANNEAL_MOVES", 0),
-         "class first": ("_CLASS_FIRST", False)}
+RULES = {"witness pass": ("_ANNEAL_MOVES", 0), "class first": ("_CLASS_FIRST", False)}
 
 
 def switched_off(monkeypatch):
@@ -166,11 +165,11 @@ class TestSolve:
         assert a == b
 
     def test_symmetry_breaking_preserves_value(self, monkeypatch):
+        # C4's automorphisms map each labeling onto seven others; the
+        # solver breaks none of them, with every rule on or with any one off
         g = fam("cycle", 4)
-        with_sym = solve_min_distinct(g, "total", QUICK)
-        monkeypatch.setattr(solver, "_orbit", lambda g, mode: ())
-        without = solve_min_distinct(g, "total", QUICK)
-        assert with_sym.value == without.value == 2
+        values = {solve_min_distinct(g, "total", QUICK).value for _ in switched_off(monkeypatch)}
+        assert values == {2}
 
     def test_isolated_edge_infeasible_edge_mode(self):
         g = fam("k2_plus_empty", 3)
@@ -243,6 +242,18 @@ class TestFindWithAtMostK:
         res = find_with_at_most_k(fam("cycle", 8), 2, "total", SolveBudget(max_nodes=5))
         assert (res.status, res.nodes_explored) == ("unknown", 6)
 
+    @pytest.mark.parametrize("kind,n,k,mode,status,nodes", [
+        # below the lower bound: the tree took 2,933,456, 1,038,635 and 35
+        ("complete", 4, 3, "total", "none", 0), ("complete", 5, 4, "edge", "none", 0),
+        ("cycle", 5, 1, "edge", "none", 0),
+        # at the lower bound the search runs as before
+        ("wheel", 4, 3, "total", "found", 3_383), ("complete", 4, 4, "total", "found", 10),
+        ("complete", 5, 5, "edge", "found", 10),
+    ])
+    def test_lower_bound_refutes_every_k_below_it(self, kind, n, k, mode, status, nodes):
+        res = find_with_at_most_k(fam(kind, n), k, mode, QUICK)
+        assert (res.status, res.nodes_explored) == (status, nodes)
+
     def test_k_validation(self):
         with pytest.raises(ParameterError):
             find_with_at_most_k(fam("cycle", 3), 0, "total", QUICK)
@@ -257,7 +268,7 @@ class TestFindWithAtMostK:
             return slot_order(g, mode)
 
         monkeypatch.setattr(solver, "_slot_order", slow_slot_order)
-        res = find_with_at_most_k(fam("cycle", 5), 2, "total", SolveBudget(max_millis=50))
+        res = find_with_at_most_k(fam("cycle", 6), 2, "total", SolveBudget(max_millis=50))
         assert (res.status, res.nodes_explored) == ("unknown", 0)
         res = solve_min_distinct(fam("cycle", 5), "total", SolveBudget(max_millis=50))
         assert (res.status, res.nodes_explored) == ("exhausted", 0)
@@ -290,15 +301,15 @@ class TestSearchTree:
     counts the nodes of every search.  The node budget stops the search at
     node max_nodes + 1; the clock is read on entering each search and then
     at every multiple of 1,024 nodes within the node budget, and a deadline
-    found passed stops the search at that node.
-    Cycles and complete graphs get the orbit cut from the graph itself,
-    whether built by `generate` or read from a file.  The counts and
+    found passed stops the search at that node.  The counts and
     witnesses below are those of the most-constrained-first slot order, so
     a faster search core must reproduce them exactly."""
 
     def test_c5_total_at_2_none(self):
-        res = find_with_at_most_k(fam("cycle", 5), 2, "total", QUICK)
-        assert (res.status, res.nodes_explored) == ("none", 241_127)
+        # find_with_at_most_k answers from C5's lower bound 3; the tree alone
+        srch = _Search(fam("cycle", 5), SearchMode.TOTAL, QUICK)
+        assert next(srch.labelings(2), None) is None
+        assert (srch.nodes, srch.cut) == (939_492, False)
 
     @pytest.mark.parametrize("kind,n,value,nodes,edge_labels", [
         ("wheel", 4, 3, 8_141, (7, 3, 1, 2, 6, 4, 5, 8)),
@@ -312,30 +323,19 @@ class TestSearchTree:
     @pytest.mark.parametrize("kind,n,value,nodes,labels", [
         ("cycle", 5, 3, 3_472, ((1, 6, 7, 4, 10), (2, 3, 9, 5, 8))),
         ("complete", 4, 4, 10, ((1, 5, 8, 10), (2, 3, 4, 6, 7, 9))),
-        ("cycle", 4, 2, 6_331, ((3, 8, 1, 4), (2, 7, 6, 5))),
+        ("cycle", 4, 2, 2_203, ((1, 8, 5, 6), (3, 7, 4, 2))),
     ])
     def test_family_orbit_solve(self, kind, n, value, nodes, labels):
-        # the orbit's later slots start above the representative's label
+        # graphs whose automorphisms map any edge (cycles) or any vertex
+        # (complete graphs) onto any other; the solver breaks no symmetry
         spec = FamilySpec(kind, (n,))
         res = solve_min_distinct(generate(spec), "total", QUICK)
         assert (res.status, res.value, res.nodes_explored) == ("exact", value, nodes)
         assert res.certificate == Labeling(*labels)
 
-    @pytest.mark.parametrize("kind,n,mode,cut,uncut", [
-        ("cycle", 4, "total", 6_331, 2_203), ("cycle", 6, "edge", 251, 725),
-    ])
-    def test_orbit_cut_on_and_off(self, monkeypatch, kind, n, mode, cut, uncut):
-        # the cut is no sure saving: on C4 in total mode it costs nodes
-        g = fam(kind, n)
-        with_cut = solve_min_distinct(g, mode, QUICK)
-        monkeypatch.setattr(solver, *RULES["orbit cut"])
-        without = solve_min_distinct(g, mode, QUICK)
-        assert (with_cut.status, with_cut.value) == (without.status, without.value)
-        assert (with_cut.nodes_explored, without.nodes_explored) == (cut, uncut)
-
     @pytest.mark.parametrize("kind,n,mode,nodes", [
         ("cycle", 5, "total", 3_472), ("wheel", 4, "edge", 8_141),
-        ("path", 6, "total", 68_447), ("cycle", 4, "total", 6_331),
+        ("path", 6, "total", 68_447), ("cycle", 4, "total", 2_203),
         ("wheel", 5, "edge", 381), ("path", 4, "total", 8_241),
         ("k2_plus_empty", 2, "total", 23),
     ])
@@ -396,27 +396,7 @@ class TestSearchTree:
 
 @pytest.mark.usefixtures("no_phase")
 class TestOrbit:
-    """The orbit cut is read off the graph, however the graph was made."""
-
-    def test_orbits_read_off_the_graph(self):
-        c5 = Graph.from_edges(5, [(0, 2), (2, 4), (4, 1), (1, 3), (3, 0)])  # shuffled C5
-        assert c5 != fam("cycle", 5)
-        assert _orbit(c5, SearchMode.TOTAL) == (5, 6, 7, 8, 9)
-        assert _orbit(c5, SearchMode.EDGE) == (0, 1, 2, 3, 4)
-        k4 = fam("complete", 4)
-        assert _orbit(k4, SearchMode.TOTAL) == (0, 1, 2, 3)
-        assert _orbit(k4, SearchMode.EDGE) == (0, 1, 2, 3, 4, 5)
-
-    @pytest.mark.parametrize("g,mode", [
-        (fam("complete", 1), SearchMode.TOTAL), (fam("complete", 2), SearchMode.EDGE),
-        (fam("path", 4), SearchMode.TOTAL), (fam("path", 4), SearchMode.EDGE),
-        (Graph.from_edges(4, fam("complete", 4).edges[1:]), SearchMode.TOTAL),
-        (Graph.from_edges(4, fam("complete", 4).edges[1:]), SearchMode.EDGE),
-        (disjoint_union(fam("cycle", 3), fam("cycle", 5)), SearchMode.TOTAL),
-        (disjoint_union(fam("cycle", 3), fam("cycle", 5)), SearchMode.EDGE),
-    ])
-    def test_no_orbit(self, g, mode):
-        assert _orbit(g, mode) == ()
+    """Graphs that a symmetry cut must not treat as one orbit."""
 
     def test_two_cycles_are_not_one(self):
         # C3 ∪ C5 is 2-regular, but no automorphism maps an edge of the C3
@@ -425,17 +405,6 @@ class TestOrbit:
         g = disjoint_union(fam("cycle", 3), fam("cycle", 5))
         res = solve_min_distinct(g, "edge", QUICK)
         assert (res.status, res.value, res.nodes_explored) == ("exact", 3, 4_522)
-
-    @pytest.mark.parametrize("mode,nodes", [("total", 6), ("edge", 3)])
-    def test_k3_same_tree_under_either_orbit(self, monkeypatch, mode, nodes):
-        # K3 is both a cycle and a complete graph: its vertex orbit and its
-        # edge orbit give the same tree
-        k3 = fam("complete", 3)
-        res = solve_min_distinct(k3, mode, QUICK)
-        monkeypatch.setattr(solver, "_orbit", lambda g, mode: tuple(
-            range(g.p, g.p + g.q) if mode is SearchMode.TOTAL else range(g.q)))
-        assert solve_min_distinct(k3, mode, QUICK) == res
-        assert res.nodes_explored == nodes
 
 
 class TestWitnessPhase:
@@ -649,14 +618,18 @@ class TestClassFirst:
                 assert report.valid and report.profile.distinct_count <= 2, i
         assert mismatches == []
 
-    @pytest.mark.parametrize("mode,both,decided", [("total", 7, 106), ("edge", 50, 112)])
+    @pytest.mark.parametrize("mode,both,decided", [("total", 7, 11), ("edge", 15, 17)])
     def test_agrees_with_the_tree_on_connected_6_vertex_graphs(self, monkeypatch, mode,
                                                                both, decided):
-        # at 50,000 nodes each: the same verdict wherever both decide
+        # at 50,000 nodes each: the same verdict wherever both decide, on
+        # the graphs whose lower bound leaves two weights to search for
         nx = pytest.importorskip("networkx")
         graphs = [Graph.from_edges(6, G.edges()) for G in nx.graph_atlas_g()
                   if G.number_of_nodes() == 6 and nx.is_connected(G)]
         assert len(graphs) == 112
+        bound = chi_lat_lower_bound if mode == "total" else chromatic_lower_bound
+        graphs = [g for g in graphs if bound(g) <= 2]
+        assert len(graphs) == 17
         budget = SolveBudget(max_nodes=50_000)
         verdicts = []
         for g in graphs:
