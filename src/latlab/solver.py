@@ -143,15 +143,19 @@ def _draws(count):
 
 def _class_weights(n, q, size, lo, hi):
     """The pairs of distinct class weights (w1, w2) of a colouring into two
-    classes of `size` vertices: each within lo..hi of its class, and
-    meeting the sum identity of `_Search.two_weights`."""
+    classes of `size` vertices: each within lo..hi of its class, meeting the
+    sum identity of `_Search.two_weights`, and in total mode centre out: w1,
+    then w2 for each w1, nearest its class mean (|C| + q)(n + 1)/2|C| first."""
     a, b = size
     if n > q:  # total mode: all N labels, plus the q edge labels once more
         least = n * (n + 1) // 2 + q * (q + 1) // 2
         most = least + q * (n - q)
-        for w1 in range(lo[0], hi[0] + 1):
-            for w2 in range(max(lo[1], -((a * w1 - least) // b)),
-                            min(hi[1], (most - a * w1) // b) + 1):
+
+        def out(first, last, c):
+            return sorted(range(first, last + 1), key=lambda w: abs(2 * c * w - (c + q) * (n + 1)))
+        for w1 in out(lo[0], hi[0], a):
+            for w2 in out(max(lo[1], -((a * w1 - least) // b)),
+                          min(hi[1], (most - a * w1) // b), b):
                 if w2 != w1:
                     yield w1, w2
     else:  # edge mode: each class sums every edge label once
@@ -170,10 +174,10 @@ class _Search:
     holds the slot placed at depth d, the one or two vertices it touches,
     the vertices it completes and the adjacent pairs it may set equal."""
 
-    def __init__(self, g: Graph, mode: SearchMode, budget: SolveBudget):
-        # the time budget covers set-up, slot ordering included
-        self.deadline = (time.monotonic() + budget.max_millis / 1000.0
-                         if budget.max_millis is not None else None)
+    def __init__(self, g: Graph, mode: SearchMode, budget: SolveBudget, started=None):
+        # the time budget covers set-up, slot ordering included, from `started`
+        self.deadline = None if budget.max_millis is None else (
+            (time.monotonic() if started is None else started) + budget.max_millis / 1000.0)
         n, vslots, touches = _slot_model(g, mode)
         self.n = n
         # a vertex fed by r slots weighs at most the sum of the r largest labels
@@ -323,16 +327,17 @@ class _Search:
         Its weight classes are a proper colouring into at most two classes.
         So for each colouring (`coloring._colorable`, along the vertices in
         the order the slots first touch them) and each pair of distinct
-        class weights that fits it, the slots are filled to meet those
-        weights (`_fill`).  A vertex fed by r slots weighs r(r+1)/2 ..
-        rn - r(r-1)/2, and a class weight lies in all its members' ranges.
-        The weights sum to every label plus the edge labels once more: in
-        total mode, sum |C_i| w_i - N(N+1)/2 is a sum of q labels of 1..N;
-        in edge mode every edge joins the two classes, so each class sums
-        to q(q+1)/2.  Each colouring and each pair costs one node.
-        Returns the number of weights of the labeling left in `assign`, or
-        None when none exists or `cut` is set, under the budget rules of
-        `labelings`."""
+        class weights that fits it, centre out (`_class_weights`), the slots
+        are filled to meet those weights (`_fill`).  A vertex fed by r slots
+        weighs r(r+1)/2 .. rn - r(r-1)/2; a class weight w_C lies in all its
+        members' ranges and, in total mode, in 1/|C| of that for r = |C| + q,
+        as every edge has one end in C.  The weights sum to every label plus
+        the edge labels once more: in total mode, sum |C_i| w_i - N(N+1)/2
+        is a sum of q labels of 1..N; in edge mode each class sums every
+        edge label once, to q(q+1)/2.  Each colouring and each pair costs
+        one node.  Returns the number of weights of the labeling left in
+        `assign`, or None when none exists or `cut` is set, under the budget
+        rules of `labelings`."""
         if self.deadline is not None and time.monotonic() > self.deadline:
             self.cut = True
             return None
@@ -367,6 +372,10 @@ class _Search:
             for v, c in enumerate(color):
                 size[c] += 1
                 lo[c], hi[c] = max(lo[c], vlo[v]), min(hi[c], vhi[v])
+            if n > g.q:  # total mode: class C weighs 1/|C| of |C| + q distinct labels
+                for c in (0, 1):
+                    least, most = reach[size[c] + g.q]
+                    lo[c], hi[c] = max(lo[c], -(-least // size[c])), min(hi[c], most // size[c])
             for w in chain((None,), _class_weights(n, g.q, size, lo, hi)):
                 self.nodes += 1  # the colouring's node, then each pair's
                 if self.nodes > limit or (not self.nodes & 1023 and self.deadline is not None
@@ -587,17 +596,19 @@ def solve_min_distinct(g: Graph, mode: SearchMode,
     lower bound is the answer.  Otherwise a fixed-k search restarts below
     each labeling found, with the rest of the budget, until one meets the
     lower bound or a search closes finding none, which refutes best - 1
-    weights.  The restart below 3 weights is class first
-    (`_Search.two_weights`).  A closed search gives an exact value with a
-    verified certificate; budget exhaustion yields bounds (or exhausted),
-    never a wrong exact answer.
+    weights.  With a lower bound of 2 and no two-weight witness, two
+    weights are decided class first (`_Search.two_weights`) before any
+    restart: a `none` raises the lower bound to 3.  A closed search gives
+    an exact value with a verified certificate; budget exhaustion yields
+    bounds (or exhausted), never a wrong exact answer.
     """
     mode = SearchMode(mode)
     if mode is SearchMode.EDGE and has_isolated_edge(g):
         return SolveResult("infeasible")
-    srch = _Search(g, mode, budget)  # starts the clock
+    started = time.monotonic()  # the time budget covers the bound and set-up
     lower = max(1, chi_lat_lower_bound(g) if mode is SearchMode.TOTAL
                 else chromatic_lower_bound(g))
+    srch = _Search(g, mode, budget, started)
     best = assign = None
     # the moves take at most a quarter of the node budget, and of the nodes
     # of the whole tree, n + n(n-1) + ... + n!, which a tiny search covers
@@ -610,11 +621,14 @@ def solve_min_distinct(g: Graph, mode: SearchMode,
     moves = min(span, tree, budget.max_nodes or span) // (4 * _MOVE_NODES)
     if moves:
         best, assign = srch.anneal(lower, moves)
-    while best is None or best > lower:  # restart below the incumbent
-        if best == 3 and _CLASS_FIRST:
-            found = srch.two_weights()
-        else:
-            found = next(srch.labelings(max(g.p, 1) if best is None else best - 1), None)
+    if lower == 2 and best != 2 and _CLASS_FIRST:
+        found = srch.two_weights()
+        if found is not None:
+            best, assign = found, list(srch.assign)
+        elif not srch.cut:
+            lower = 3  # no two weights: the restarts aim at 3
+    while (best is None or best > lower) and not srch.cut:  # restart below the incumbent
+        found = next(srch.labelings(max(g.p, 1) if best is None else best - 1), None)
         if found is None:
             break
         best, assign = found, list(srch.assign)
@@ -648,9 +662,10 @@ def find_with_at_most_k(g: Graph, k: int, mode: SearchMode,
     mode = SearchMode(mode)
     if mode is SearchMode.EDGE and has_isolated_edge(g):
         return FeasibilityResult("none")
-    srch = _Search(g, mode, budget)  # starts the clock
+    started = time.monotonic()  # the time budget covers set-up
     if k < (chi_lat_lower_bound(g) if mode is SearchMode.TOTAL else chromatic_lower_bound(g)):
-        return FeasibilityResult("none")
+        return FeasibilityResult("none")  # before any set-up
+    srch = _Search(g, mode, budget, started)
     if k == 2 and _CLASS_FIRST:
         found = srch.two_weights()
     else:

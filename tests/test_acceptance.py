@@ -195,7 +195,7 @@ def test_criterion_10_p9_conjecture_evidence():
         "SEARCH CLOSED WITH NO 2-WEIGHT LABELING OF P9 - this contradicts "
         "the odd-path conjecture and must be investigated")
     if res.status == "found":
-        assert res.nodes_explored == 807_325  # class first; the tree takes 2,864,380
+        assert res.nodes_explored == 5_957  # class first; the tree takes 2,864,380
         rep = verify(fam("path", 9), res.certificate)
         assert rep.valid and rep.profile.distinct_count == 2
     report(10, f"P9 at k=2: {res.status}")

@@ -194,7 +194,8 @@ def test_every_graph_on_1_to_5_vertices_closes_at_3m_nodes():
 def test_connected_6_vertex_graphs_closing_at_100k_nodes():
     # total mode: the witness search closes most of them; these stay cut
     # short (54 of the 112 closed with the search tree alone, and 105
-    # before two weights were decided class first, which closes 79 and 99)
+    # before two weights were decided class first, which closes 79 and 99,
+    # and 107 before class-level weight ranges, which close 175)
     nx = pytest.importorskip("networkx")
     closed, cut = 0, []
     for i, G in enumerate(nx.graph_atlas_g()):
@@ -209,7 +210,7 @@ def test_connected_6_vertex_graphs_closing_at_100k_nodes():
             closed += 1
         else:
             cut.append(i)
-    assert (closed, cut) == (107, [138, 146, 163, 167, 175])
+    assert (closed, cut) == (108, [138, 146, 163, 167])
 
 
 if __name__ == "__main__":

@@ -3,6 +3,7 @@ import math
 import random
 import sys
 import time
+from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, count
 from pathlib import Path
@@ -16,7 +17,7 @@ from latlab import (FamilySpec, Graph, IntegrityError, Labeling, ParameterError,
 from latlab import chi_lat_lower_bound, solver
 from latlab.coloring import chromatic_lower_bound
 from latlab.graph import graph6_decode
-from latlab.solver import SearchMode, _Search, _slot_order
+from latlab.solver import SearchMode, _Search, _class_weights, _slot_order
 from oracle import anneal_by_rescoring, brute_force_min_distinct
 
 QUICK = SolveBudget(max_nodes=50_000_000, max_millis=120_000)
@@ -180,6 +181,8 @@ class TestSolve:
         # closes without one is a solver fault, not an "infeasible" answer
         monkeypatch.setattr(_Search, "anneal", lambda self, lower, moves: (None, None))
         monkeypatch.setattr(_Search, "labelings", lambda self, allowed: iter(()))
+        # C4 is bipartite, so the two-weight search runs before the tree
+        monkeypatch.setattr(_Search, "two_weights", lambda self: None)
         with pytest.raises(IntegrityError, match="found no labeling"):
             solve_min_distinct(fam("cycle", 4), "total", QUICK)
         assert solve_min_distinct(fam("complete", 2), "edge", QUICK).status == "infeasible"
@@ -254,6 +257,17 @@ class TestFindWithAtMostK:
         res = find_with_at_most_k(fam(kind, n), k, mode, QUICK)
         assert (res.status, res.nodes_explored) == (status, nodes)
 
+    def test_a_k_below_the_bound_builds_no_search(self, monkeypatch):
+        # the bound answers before the slot model is built: on cycle:199999
+        # that set-up took ten times the bound's time
+        def no_slot_model(g, mode):
+            raise AssertionError("slot model built")
+
+        monkeypatch.setattr(solver, "_slot_model", no_slot_model)
+        for g, k, mode in [(fam("complete", 4), 3, "total"), (fam("complete", 5), 4, "edge"),
+                           (fam("cycle", 5), 2, "total"), (fam("cycle", 5), 1, "edge")]:
+            assert find_with_at_most_k(g, k, mode, QUICK) == ("none", None, 0)
+
     def test_k_validation(self):
         with pytest.raises(ParameterError):
             find_with_at_most_k(fam("cycle", 3), 0, "total", QUICK)
@@ -283,6 +297,8 @@ class TestFindWithAtMostK:
         monkeypatch.setattr(solver, "chi_lat_lower_bound", slow_lower_bound)
         res = solve_min_distinct(fam("cycle", 5), "total", SolveBudget(max_millis=50))
         assert (res.status, res.nodes_explored) == ("exhausted", 0)
+        res = find_with_at_most_k(fam("cycle", 6), 2, "total", SolveBudget(max_millis=50))
+        assert (res.status, res.nodes_explored) == ("unknown", 0)
 
     def test_dense_set_up_outlasts_a_1ms_budget(self):
         # setting up the 1,830 slots of K60 takes several milliseconds
@@ -618,7 +634,7 @@ class TestClassFirst:
                 assert report.valid and report.profile.distinct_count <= 2, i
         assert mismatches == []
 
-    @pytest.mark.parametrize("mode,both,decided", [("total", 7, 11), ("edge", 15, 17)])
+    @pytest.mark.parametrize("mode,both,decided", [("total", 7, 16), ("edge", 15, 17)])
     def test_agrees_with_the_tree_on_connected_6_vertex_graphs(self, monkeypatch, mode,
                                                                both, decided):
         # at 50,000 nodes each: the same verdict wherever both decide, on
@@ -644,9 +660,9 @@ class TestClassFirst:
     @pytest.mark.parametrize("g,mode,nodes", [
         # C4 ∪ K1, 253,065 tree nodes; in edge mode the isolated vertex's
         # class of weight 0 holds a vertex of each C4 class
-        (graph6_decode("Dl?"), "total", 3_923), (graph6_decode("Dl?"), "edge", 2),
+        (graph6_decode("Dl?"), "total", 2), (graph6_decode("Dl?"), "edge", 2),
         # atlas 79, a double star: 8,837,743 tree nodes
-        (Graph.from_edges(6, [(0, 1), (0, 2), (0, 3), (3, 4), (3, 5)]), "total", 49_327),
+        (Graph.from_edges(6, [(0, 1), (0, 2), (0, 3), (3, 4), (3, 5)]), "total", 35_903),
         # a lower bound above 2 refutes with no node: an odd cycle, an edgeless graph
         (fam("cycle", 5), "total", 0), (fam("cycle", 5), "edge", 0),
         (fam("cycle", 7), "total", 0), (fam("empty", 3), "total", 0),
@@ -656,7 +672,7 @@ class TestClassFirst:
         assert (res.status, res.nodes_explored) == ("none", nodes)
 
     @pytest.mark.parametrize("g,mode,nodes", [
-        (fam("cycle", 4), "total", 3_693), (fam("path", 7), "total", 18_790),
+        (fam("cycle", 4), "total", 6_282), (fam("path", 7), "total", 256),
         # no edge: every labeling will do, and no node is searched
         (fam("empty", 3), "edge", 0), (fam("empty", 2), "total", 0),
     ])
@@ -666,11 +682,58 @@ class TestClassFirst:
         report = verify(g, res.certificate)
         assert report.valid and report.profile.distinct_count <= 2
 
+    @pytest.mark.parametrize("name,nodes", [
+        # each unknown at 3M nodes before class-level weight ranges
+        ("path:11", 10_942), ("path:13", 102_910), ("path:15", 59_765),
+        ("atlas:525", 3_645), ("atlas:670", 39_875),  # atlas 670 is K2,5
+    ])
+    def test_two_weights_found(self, name, nodes):
+        kind, n = name.split(":")
+        if kind == "atlas":
+            G = pytest.importorskip("networkx").graph_atlas(int(n))
+            g = Graph.from_edges(G.number_of_nodes(), G.edges())
+        else:
+            g = fam(kind, int(n))
+        res = find_with_at_most_k(g, 2, "total", SolveBudget(max_nodes=3_000_000))
+        assert (res.status, res.nodes_explored) == ("found", nodes)
+        report = verify(g, res.certificate)
+        assert report.valid and report.profile.distinct_count == 2
+
+    @pytest.mark.parametrize("g,nodes", [(fam("complete_bipartite", 2, 5), 72_643),
+                                         (fam("path", 11), 43_710)])
+    def test_solve_decides_two_weights_after_the_witness_pass(self, g, nodes):
+        # at the parent's order both ran their 3M nodes: 2..3 and 2..4
+        res = solve_min_distinct(g, "total", SolveBudget(max_nodes=3_000_000))
+        assert (res.status, res.value, res.nodes_explored) == ("exact", 2, nodes)
+        assert verify(g, res.certificate).profile.distinct_count == 2
+
+    @pytest.mark.parametrize("p,q,size", [
+        (9, 8, (5, 4)), (9, 8, (4, 5)), (7, 10, (2, 5)), (5, 4, (3, 2)), (7, 6, (1, 6)),
+        (4, 3, (2, 2)), (2, 1, (1, 1)),
+    ])
+    def test_class_weights_go_centre_out(self, p, q, size):
+        # every pair within the class-level ranges (|C| w sums |C| + q
+        # distinct labels of 1..n) that meets the sum identity, nearest the
+        # class means first: w1, then w2 for each w1; of two as near, the lower
+        n = p + q
+        least = n * (n + 1) // 2 + q * (q + 1) // 2
+        most = least + q * (n - q)
+        (lo0, hi0), (lo1, hi1) = [(math.ceil((c + q) * (c + q + 1) / 2 / c),
+                                   ((c + q) * n - (c + q) * (c + q - 1) // 2) // c) for c in size]
+
+        def away(c, w):  # distance from the class mean
+            return abs(Fraction(w) - Fraction((c + q) * (n + 1), 2 * c))
+        for lo, hi in [(lo0, hi0), (lo0 + 2, hi0 - 3)]:  # and a narrower w1 range
+            pairs = [(w1, w2) for w1 in range(lo, hi + 1) for w2 in range(lo1, hi1 + 1)
+                     if w1 != w2 and least <= size[0] * w1 + size[1] * w2 <= most]
+            pairs.sort(key=lambda w: (away(size[0], w[0]), w[0], away(size[1], w[1]), w[1]))
+            assert list(_class_weights(n, q, size, (lo, lo1), (hi, hi1))) == pairs
+
     @pytest.mark.parametrize("limit", [1, 2, 3, 1_023, 1_024, 1_025, 33_333])
     def test_capped_run_reports_the_refused_node(self, limit):
-        # P9 is found after 807,325 nodes: the budget stops each of these
+        # P13 is found after 102,910 nodes: the budget stops each of these
         # on a colouring's, a pair's or a label's node
-        res = find_with_at_most_k(fam("path", 9), 2, "total", SolveBudget(max_nodes=limit))
+        res = find_with_at_most_k(fam("path", 13), 2, "total", SolveBudget(max_nodes=limit))
         assert (res.status, res.nodes_explored) == ("unknown", limit + 1)
 
     @pytest.mark.parametrize("reads,nodes", [(2, 0), (3, 1_024), (5, 3_072)])
@@ -684,10 +747,11 @@ class TestClassFirst:
         assert (res.status, res.nodes_explored) == ("unknown", nodes)
 
     def test_solve_refutes_two_weights_class_first(self, monkeypatch):
-        # C4 ∪ K1 at the atlas budget: the restart below 3 weights closes
+        # C4 ∪ K1 at the atlas budget: two weights are refuted right after
+        # the witness pass, and the restarts aim at 3
         g, budget = graph6_decode("Dl?"), SolveBudget(max_nodes=40_000)
         res = solve_min_distinct(g, "total", budget)
-        assert (res.status, res.value, res.nodes_explored) == ("exact", 3, 13_923)
+        assert (res.status, res.value, res.nodes_explored) == ("exact", 3, 10_002)
         monkeypatch.setattr(solver, *RULES["class first"])
         res = solve_min_distinct(g, "total", budget)
         assert (res.status, res.lower, res.upper, res.nodes_explored) == \
