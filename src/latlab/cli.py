@@ -13,7 +13,7 @@ import json
 import sys
 
 from .errors import LatlabError, ParameterError, ParseError
-from .graph import FamilySpec, format_graph, generate, graph6_decode, parse_graph
+from .graph import _G6_HEADER, FamilySpec, format_graph, generate, graph6_decode, parse_graph
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -247,8 +247,10 @@ def cmd_atlas(args) -> int:
                     make_certificate(g, res.certificate, "solver:branch-and-bound"))
                 store_entry(directory, g, mode, res.status, lower=res.lower,
                             certificate_doc=cert_doc, budget=budget)
-        record = {"graph6": line, "status": answer["status"], "value": answer["value"],
-                  "lower": answer["lower"], "upper": answer["upper"], "cached": cached}
+        # the graph6 string without the optional ">>graph6<<" file header
+        record = {"graph6": line.removeprefix(_G6_HEADER), "status": answer["status"],
+                  "value": answer["value"], "lower": answer["lower"], "upper": answer["upper"],
+                  "cached": cached}
         if args.json:
             out_lines.append(json.dumps(record, sort_keys=True))
         else:

@@ -2,7 +2,8 @@
 
 solve_min_distinct / find_with_at_most_k run a pruned backtracking search
 over label slots, filled in a static order that completes the most
-constrained vertex first; iter_valid_labelings lists every labeling in that
+constrained vertex first, one labeling per automorphism class
+(`_Search.floors`); iter_valid_labelings lists every labeling in that
 order.  solve_min_distinct first looks for a witness at the lower bound by
 a seeded annealing pass, then searches below each labeling found.  Two
 weights are decided class first (`_Search.two_weights`): each proper
@@ -21,7 +22,7 @@ from typing import NamedTuple, Optional
 
 from .bounds import chi_lat_lower_bound
 from .budget import SolveBudget
-from .coloring import _colorable, chromatic_lower_bound
+from .coloring import MAX_EXACT_ORDER, _colorable, chromatic_lower_bound
 from .errors import IntegrityError, ParameterError, TooLargeError
 from .graph import Graph, has_isolated_edge
 from .labeling import Labeling, check
@@ -30,6 +31,7 @@ _WEIGHT_TABLE_LIMIT = 10_000_000  # 80 MB of per-weight counts
 _ANNEAL_MOVES = 4_096  # most moves of the witness search before the tree; 0 skips it
 _MOVE_NODES = 8  # search nodes charged per move
 _CLASS_FIRST = True  # decide k = 2 by `_Search.two_weights`; False searches the tree
+_SYMMETRY = True  # keep one labeling per automorphism class (`_Search.floors`)
 # ceil(e**-4 * 2**32): a Metropolis draw this high refuses any move uphill
 # by 1 or more below temperature 0.25, where every move of `anneal` is tested
 _REFUSE = 78_665_071
@@ -190,6 +192,7 @@ class _Search:
         self.g, self.vslots, self.touches = g, vslots, touches
         order = _slot_order(g, mode)
         self.assign = [0] * n
+        self.above = None  # see `floors`
         self.nodes = 0
         self.cut = False  # set when the budget stopped the search
         self.max_nodes = budget.max_nodes
@@ -201,11 +204,77 @@ class _Search:
                           if at[u] < d or (at[u] == d and u < v))
             ta, tb = touches[s] if len(touches[s]) == 2 else (touches[s][0], g.p)
             self.steps.append((s, ta, tb, done, pairs))
+        # the vertices in the order the slots first touch them, then the others
+        self.vorder = list(dict.fromkeys([v for s in order for v in touches[s]]
+                                         + list(range(g.p))))
+
+    def floors(self):
+        """Per depth, the earlier slots whose labels the slot there must
+        exceed, made on first use for at most `coloring.MAX_EXACT_ORDER`
+        vertices (Puget, IJCAI 2005): slot s_d takes the least label of its
+        orbit under the automorphisms fixing s_0 .. s_{d-1}, a vertex slot
+        pointwise and an edge slot as a set, which keeps the lex-least
+        labeling of each automorphism class and no other.  Vertex maps
+        within the classes of colour refinement, found by backtracking,
+        merge orbits in a union-find; the clock is read every 1,024 images
+        tried, and `cut` set past the deadline."""
+        if self.above is not None:
+            return self.above
+        g, p, n, order = self.g, self.g.p, self.n, [step[0] for step in self.steps]
+        self.above = above = [[] for _ in range(n)]
+        if not _SYMMETRY or p > MAX_EXACT_ORDER:
+            return above
+        ends, vord = self.touches, self.vorder  # each slot's vertices, ascending
+        slot, nb = {x: i for i, x in enumerate(ends)}, [set(g.neighbors(v)) for v in range(p)]
+        mark, m, steps = [()] * p, [0] * p, 0  # mark: the fixed slots holding each vertex
+
+        def find(x):
+            while parent[x] != x:
+                x = parent[x]
+            return x
+        for d, s in enumerate(order):
+            col, size = [(g.degree(v), mark[v]) for v in range(p)], 0
+            while len(set(col)) > size:  # split classes by their neighbours' classes
+                size = len(set(col))
+                sig = [(col[v], sorted(col[u] for u in nb[v])) for v in range(p)]
+                col = list(map(sorted(sig).index, sig))
+            key = [tuple(sorted(col[v] for v in x)) for x in ends]
+            if len({key[t] for t in order[d:]}) == n - d:
+                break  # each slot alone in its class: no symmetry is left
+            parent = list(range(n + 1))  # n: the slots outside s's orbit
+            for t in order[d + 1:]:
+                if key[t] != key[s] or find(t) in (find(s), find(n)):
+                    continue
+                i, tried = 0, [0] * (p + 1)  # a vertex map m taking s onto t, along vord
+                while 0 <= i < p:
+                    v = vord[i]
+                    images = ends[t] if v in ends[s] else range(p)
+                    for j in range(tried[i], len(images)):
+                        w, steps = images[j], steps + 1
+                        if (not steps & 1023 and self.deadline is not None
+                                and time.monotonic() > self.deadline):
+                            self.cut = True
+                            return above
+                        if col[w] == col[v] and all(m[u] != w and (u in nb[v]) == (m[u] in nb[w])
+                                                    for u in vord[:i]):
+                            m[v], tried[i], tried[i + 1], i = w, j + 1, 0, i + 1
+                            break
+                    else:
+                        i -= 1
+                merge = [(t, n)] if i < p else enumerate(slot[tuple(sorted(m[v] for v in x))]
+                                                         for x in ends)
+                for x, y in merge:
+                    parent[find(x)] = find(y)
+            for e in range(d + 1, n):  # s's orbit
+                above[e] += [s] * (find(order[e]) == find(s))
+            mark = [mk + (s,) * (v in ends[s]) for v, mk in enumerate(mark)]
+        return above
 
     def labelings(self, allowed):
         """Yield the distinct-weight count of every complete labeling with
         at most `allowed` weights, in ascending label order, leaving the
-        labeling in `assign` until resumed.  Each free label tried at a slot
+        labeling in `assign` until resumed.  A slot starts above its floor,
+        the largest label of its `floors`; each free label tried from there
         counts one node, on top of the `nodes` already charged; `cut` is set
         when the budget stops the search.  The weight tables are made per
         call, so a restart starts clean and a solve the witness search
@@ -213,9 +282,10 @@ class _Search:
         that would add one is refused by one `wcount` read, unapplied, and
         still counts its node, so the tree is that of applying it; so is a
         label completing both ends of an edge that would add two with one
-        to spare.  At most
-        p - 1 weights precede a vertex's completion: max(p, 1) refuses none."""
-        if self.deadline is not None and time.monotonic() > self.deadline:
+        to spare.  At most p - 1 weights precede a vertex's completion:
+        max(p, 1) refuses none."""
+        above = self.floors()
+        if self.cut or self.deadline is not None and time.monotonic() > self.deadline:
             self.cut = True  # set-up outlasted the budget: search no node
             return
         n, steps, assign = self.n, self.steps, self.assign
@@ -242,6 +312,9 @@ class _Search:
             else:
                 s, ta, tb, done, pairs = steps[depth]
                 label = nxt[0]
+                for x in above[depth]:  # start above the floor
+                    while label <= assign[x]:
+                        label = nxt[label]
             while True:  # try labels from `label` up; out of labels, back up
                 if done and distinct >= allowed - 1:
                     # refuse unapplied a label giving done[0] a weight no
@@ -363,11 +436,9 @@ class _Search:
             opens += [(p, -sys.maxsize, sys.maxsize, False)] * 2
             v0 = done[0] if done else -1
             fsteps.append((s, ta, tb, v0, done[-1] if done else v0, *opens[0], *opens[1]))
-        seen = dict.fromkeys(v for step in self.steps for v in step[1:3] if v < p)
-        order = [*seen, *(v for v in range(p) if v not in seen)]
         taken = [0] * (n + 1)  # labels in use, none after a fill that finds nothing
         limit = self.max_nodes if self.max_nodes is not None else sys.maxsize
-        for color in _colorable(g, 2, order):
+        for color in _colorable(g, 2, self.vorder):
             size, lo, hi = [0, 0], [0, 0], [sys.maxsize] * 2
             for v, c in enumerate(color):
                 size[c] += 1
@@ -392,13 +463,16 @@ class _Search:
         """Fill the slots in the static order so that each vertex v's
         labels sum to rem[v], which each placed label lowers; True leaves
         the labeling in `assign`.  A slot completing v tries only rem[v], if
-        the second vertex it completes needs the same, one node.  Any other
-        slot tries, in ascending order and one node each, the free labels
-        that leave each open vertex it touches a remainder its m slots to
-        come can reach: m(m+1)/2 .. mn - m(m-1)/2, and for m = 1 another
-        free label.  A fill that finds nothing leaves `taken` as it found
-        it."""
-        n, assign = self.n, self.assign
+        the second vertex it completes needs the same and it is above the
+        slot's floor (`labelings`), one node.  Any other slot tries, in
+        ascending order from above its floor and one node each, the free
+        labels that leave each open vertex it touches a remainder its m
+        slots to come can reach: m(m+1)/2 .. mn - m(m-1)/2, and for m = 1
+        another free label.  A fill that finds nothing leaves `taken` as it
+        found it."""
+        n, assign, above = self.n, self.assign, self.floors()
+        if self.cut:
+            return False
         limit = self.max_nodes if self.max_nodes is not None else sys.maxsize
         deadline, monotonic, nodes = self.deadline, time.monotonic, self.nodes
         stop = limit + 1 if deadline is None else min(limit + 1, (nodes | 1023) + 1)
@@ -417,7 +491,8 @@ class _Search:
                 label = top = rem[v0]
                 if not (0 < label <= n and not taken[label] and rem[v1] == label
                         and la <= ra - label <= ha
-                        and not (ka and (taken[ra - label] or ra == 2 * label))):
+                        and not (ka and (taken[ra - label] or ra == 2 * label))
+                        and all(assign[x] < label for x in above[depth])):
                     label, top = 1, 0
             else:
                 if label:
@@ -430,6 +505,9 @@ class _Search:
                         top = rb - lb
                     if label < 1:
                         label = 1
+                    for x in above[depth]:  # start above the floor
+                        if label <= assign[x]:
+                            label = assign[x] + 1
                     if top > n:
                         top = n
                 while label <= top:
@@ -679,7 +757,8 @@ def find_with_at_most_k(g: Graph, k: int, mode: SearchMode,
 
 def iter_valid_labelings(g: Graph, mode: SearchMode, limit: int,
                          budget: SolveBudget = GENEROUS_BUDGET):
-    """First `limit` valid labelings in deterministic search order.
+    """First `limit` valid labelings in deterministic search order, all of
+    each automorphism class (no `_Search.floors`).
 
     Raises TooLargeError when the budget stops the search first; a search
     that closes with fewer labelings returns them all."""
@@ -689,6 +768,7 @@ def iter_valid_labelings(g: Graph, mode: SearchMode, limit: int,
     if limit == 0:
         return []
     srch = _Search(g, mode, budget)
+    srch.above = [()] * srch.n
     found = []
     for _ in srch.labelings(max(g.p, 1)):
         found.append(_labeling_from_assignment(g, mode, srch.assign))

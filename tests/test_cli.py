@@ -249,6 +249,15 @@ class TestAtlas:
         record = json.loads(out.splitlines()[0])
         assert record["value"] == 2 and not record["cached"]
 
+    def test_record_holds_the_graph6_string_without_the_file_header(self, capsys, tmp_path,
+                                                                     monkeypatch):
+        monkeypatch.setenv("LATLAB_CACHE_DIR", str(tmp_path / "cache"))
+        stream = tmp_path / "k4.g6"
+        stream.write_text(">>graph6<<C~\n")
+        code, out, _ = run(capsys, "atlas", str(stream), "--mode", "total", "--json")
+        record = json.loads(out)
+        assert (code, record["graph6"], record["value"]) == (0, "C~", 4)
+
     def test_cache_directory_that_is_a_file_is_invalid_input(self, capsys, tmp_path,
                                                               monkeypatch):
         blocker = tmp_path / "not-a-directory"

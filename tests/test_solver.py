@@ -24,15 +24,28 @@ QUICK = SolveBudget(max_nodes=50_000_000, max_millis=120_000)
 
 
 @pytest.fixture
-def no_phase(monkeypatch):
+def tree_only(monkeypatch):
     """The annealing witness search and the class-first engine off, so
-    solves search the pinned tree."""
+    solves search the tree, under the orbit constraints."""
     monkeypatch.setattr(solver, "_ANNEAL_MOVES", 0)
     monkeypatch.setattr(solver, "_CLASS_FIRST", False)
 
 
+@pytest.fixture
+def no_symmetry(monkeypatch):
+    """The orbit constraints off: every labeling of each automorphism class
+    is searched, node for node as before they were added."""
+    monkeypatch.setattr(solver, "_SYMMETRY", False)
+
+
+@pytest.fixture
+def no_phase(tree_only, no_symmetry):
+    """The orbit constraints off too, so solves search the pinned tree."""
+
+
 # each rule of a solve, and the solver attribute and value that switch it off
-RULES = {"witness pass": ("_ANNEAL_MOVES", 0), "class first": ("_CLASS_FIRST", False)}
+RULES = {"witness pass": ("_ANNEAL_MOVES", 0), "class first": ("_CLASS_FIRST", False),
+         "symmetry": ("_SYMMETRY", False)}
 
 
 def switched_off(monkeypatch):
@@ -47,6 +60,15 @@ def switched_off(monkeypatch):
 
 def fam(kind, *params):
     return generate(FamilySpec(kind, params))
+
+
+def named(name):
+    """`atlas:<index>` (networkx) or `<family>:<param>:...`."""
+    kind, *params = name.split(":")
+    if kind == "atlas":
+        G = pytest.importorskip("networkx").graph_atlas(int(params[0]))
+        return Graph.from_edges(G.number_of_nodes(), G.edges())
+    return fam(kind, *map(int, params))
 
 
 @lru_cache(maxsize=None)
@@ -167,7 +189,8 @@ class TestSolve:
 
     def test_symmetry_breaking_preserves_value(self, monkeypatch):
         # C4's automorphisms map each labeling onto seven others; the
-        # solver breaks none of them, with every rule on or with any one off
+        # orbit constraints keep one of each eight, with every rule on or
+        # with any one off
         g = fam("cycle", 4)
         values = {solve_min_distinct(g, "total", QUICK).value for _ in switched_off(monkeypatch)}
         assert values == {2}
@@ -343,7 +366,7 @@ class TestSearchTree:
     ])
     def test_family_orbit_solve(self, kind, n, value, nodes, labels):
         # graphs whose automorphisms map any edge (cycles) or any vertex
-        # (complete graphs) onto any other; the solver breaks no symmetry
+        # (complete graphs) onto any other, with the orbit constraints off
         spec = FamilySpec(kind, (n,))
         res = solve_min_distinct(generate(spec), "total", QUICK)
         assert (res.status, res.value, res.nodes_explored) == ("exact", value, nodes)
@@ -410,17 +433,146 @@ class TestSearchTree:
         assert [list(lab.labels) for lab in labs] == golden
 
 
-@pytest.mark.usefixtures("no_phase")
+def slot_automorphisms(g, mode):
+    """Each distinct permutation of the slots that an automorphism of g
+    (networkx) makes: slot x goes to perm[x]."""
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.isomorphism import GraphMatcher
+    G = nx.Graph()
+    G.add_nodes_from(range(g.p))
+    G.add_edges_from(g.edges)
+    ends = [(v,) for v in range(g.p)] * (SearchMode(mode) is SearchMode.TOTAL) + list(g.edges)
+    slot = {x: i for i, x in enumerate(ends)}
+    return list({tuple(slot[tuple(sorted(sigma[v] for v in x))] for x in ends)
+                 for sigma in GraphMatcher(G, G).isomorphisms_iter()})
+
+
+def constraints_of_every_automorphism(g, mode):
+    """The pairs (slot, later slot) whose labels rise, derived from every
+    automorphism: for each one that moves a slot, with i0 the first slot it
+    moves in slot order, X[i0] < X[sigma^-1(i0)]."""
+    pairs = set()
+    for perm in slot_automorphisms(g, mode):
+        moved = [s for s in _slot_order(g, mode) if perm[s] != s]
+        if moved:
+            pairs.add((moved[0], perm.index(moved[0])))
+    return pairs
+
+
+@pytest.mark.usefixtures("tree_only")
 class TestOrbit:
-    """Graphs that a symmetry cut must not treat as one orbit."""
+    """The orbit constraints of `_Search.floors`, read off the graph: slot
+    s_d takes a label below every later slot of its orbit under the
+    automorphisms that fix s_0 .. s_{d-1}.  `_SYMMETRY = False` drops
+    them."""
 
     def test_two_cycles_are_not_one(self):
         # C3 ∪ C5 is 2-regular, but no automorphism maps an edge of the C3
         # onto one of the C5: one orbit over all eight edges loses the
-        # optimum, and the search then answers exact 4
+        # optimum, and the search then answers exact 4 (4,522 nodes
+        # without the constraints)
         g = disjoint_union(fam("cycle", 3), fam("cycle", 5))
         res = solve_min_distinct(g, "edge", QUICK)
-        assert (res.status, res.value, res.nodes_explored) == ("exact", 3, 4_522)
+        assert (res.status, res.value, res.nodes_explored) == ("exact", 3, 1_007)
+
+    def test_constraints_are_those_of_every_automorphism(self):
+        # every atlas graph on at most 6 vertices, both modes
+        nx = pytest.importorskip("networkx")
+        graphs = [Graph.from_edges(G.number_of_nodes(), G.edges())
+                  for G in nx.graph_atlas_g() if G.number_of_nodes() <= 6]
+        assert len(graphs) == 209
+        mismatches = []
+        for i, g in enumerate(graphs):
+            for mode in SearchMode:
+                srch = _Search(g, mode, QUICK)
+                ours = {(x, step[0]) for step, above in zip(srch.steps, srch.floors())
+                        for x in above}
+                if ours != constraints_of_every_automorphism(g, mode):
+                    mismatches.append((i, mode.value))
+        assert mismatches == []
+
+    @pytest.mark.parametrize("g,mode,automorphisms", [
+        (fam("cycle", 4), "total", 8), (fam("complete", 4), "edge", 24),
+        (fam("complete_bipartite", 1, 3), "total", 6), (fam("path", 4), "total", 2),
+        (fam("complete_bipartite", 2, 3), "edge", 12),
+    ])
+    def test_one_labeling_per_class(self, g, mode, automorphisms):
+        # every non-identity slot permutation moves every labeling, so each
+        # class holds `automorphisms` labelings; the tree keeps the least
+        # of each in slot order, and no other
+        perms = slot_automorphisms(g, mode)
+        assert len(perms) == automorphisms
+        order = _slot_order(g, SearchMode(mode))
+        every = [lab.labels for lab in iter_valid_labelings(g, mode, 10**6)]
+        least = [x for x in every if [x[s] for s in order] == min(
+            [x[perm[s]] for s in order] for perm in perms)]
+        srch = _Search(g, SearchMode(mode), QUICK)
+        kept = [tuple(srch.assign) for _ in srch.labelings(max(g.p, 1))]
+        assert kept == least and len(every) == automorphisms * len(kept)
+
+    def test_tree_never_searches_more(self, monkeypatch):
+        # every atlas graph on at most 5 vertices, both modes, every k from
+        # the lower bound to p: the same status and witness with the
+        # constraints on and off, and never more nodes on
+        nx = pytest.importorskip("networkx")
+        budget = SolveBudget(max_nodes=300_000)
+        worse = []
+        for i, G in enumerate(nx.graph_atlas_g()[:53]):
+            g = Graph.from_edges(G.number_of_nodes(), G.edges())
+            for mode in ("total", "edge"):
+                lower = (chi_lat_lower_bound if mode == "total" else chromatic_lower_bound)(g)
+                for k in range(max(lower, 1), g.p + 1):
+                    on = find_with_at_most_k(g, k, mode, budget)
+                    with monkeypatch.context() as m:
+                        m.setattr(solver, *RULES["symmetry"])
+                        off = find_with_at_most_k(g, k, mode, budget)
+                    if on[:2] != off[:2] or on.nodes_explored > off.nodes_explored:
+                        worse.append((i, mode, k, on, off))
+        assert worse == []
+
+    def test_c5_tree_at_2(self):
+        # 939,492 nodes without the constraints (`TestSearchTree`)
+        srch = _Search(fam("cycle", 5), SearchMode.TOTAL, QUICK)
+        assert next(srch.labelings(2), None) is None
+        assert (srch.nodes, srch.cut) == (146_874, False)
+
+    @pytest.mark.parametrize("reads,status,nodes", [
+        (2, "unknown", 0), (3, "unknown", 0), (4, "unknown", 0), (5, "found", 55),
+    ])
+    def test_orbit_search_reads_the_deadline(self, monkeypatch, reads, status, nodes):
+        # K10 in total mode at k = 10: one reading starts the budget, the
+        # orbit search takes two (after 1,024 and 2,048 images tried), then
+        # one on entering the tree; a reading past the deadline stops the
+        # search there, and no clock is read after it
+        readings = count(1)
+        taken = []
+
+        def monotonic():
+            taken.append(next(readings))
+            return 0.0 if taken[-1] < reads else 1e9
+        monkeypatch.setattr(solver, "time", SimpleNamespace(monotonic=monotonic))
+        res = find_with_at_most_k(fam("complete", 10), 10, "total", SolveBudget(max_millis=1_000))
+        assert (res.status, res.nodes_explored, len(taken)) == (status, nodes, min(reads, 4))
+
+    def test_made_on_first_use_for_at_most_16_vertices(self, monkeypatch):
+        made = []
+        floors = _Search.floors
+
+        def recorded(self):
+            made.append(self.above is None)
+            return floors(self)
+        monkeypatch.setattr(_Search, "floors", recorded)
+        # above 16 vertices, no constraint
+        srch = _Search(fam("cycle", 17), SearchMode.TOTAL, QUICK)
+        assert srch.floors() == [[]] * srch.n
+        # W4 closes in the witness pass, which makes none
+        monkeypatch.setattr(solver, "_ANNEAL_MOVES", 4_096)
+        made.clear()
+        assert solve_min_distinct(fam("wheel", 4), "total", QUICK).status == "exact"
+        assert made == []
+        # a solve that searches makes them once
+        assert solve_min_distinct(fam("path", 4), "total", QUICK).status == "exact"
+        assert made[0] and not any(made[1:])
 
 
 class TestWitnessPhase:
@@ -446,6 +598,7 @@ class TestWitnessPhase:
         ("cycle", 5, 100_000, "exact", 392, (2, 6, 4, 5, 9, 7, 8, 3, 10, 1)),
         ("path", 4, 2_000, "lower_upper", 2_001, None),
     ])
+    @pytest.mark.usefixtures("no_symmetry")
     def test_same_graph_same_witness_and_nodes(self, kind, n, budget, status, nodes, labels):
         # W4 and C5 close in the witness search; P4 (3 weights, bound 2) cannot
         first, again = (solve_min_distinct(fam(kind, n), "total", SolveBudget(max_nodes=budget))
@@ -454,6 +607,11 @@ class TestWitnessPhase:
         assert (first.status, first.nodes_explored) == (status, nodes)
         if labels is not None:
             assert first.certificate.labels == labels
+
+    def test_p4_closes_within_2000_nodes_under_the_orbit_constraints(self):
+        res = solve_min_distinct(fam("path", 4), "total", SolveBudget(max_nodes=2_000))
+        assert (res.status, res.value, res.nodes_explored) == ("exact", 3, 1_916)
+        assert res.certificate.labels == (2, 1, 7, 5, 6, 4, 3)
 
     @pytest.mark.parametrize("max_nodes,status", [
         (1, "exhausted"), (7, "exhausted"), (31, "lower_upper"), (32, "lower_upper"),
@@ -635,10 +793,20 @@ class TestClassFirst:
         assert mismatches == []
 
     @pytest.mark.parametrize("mode,both,decided", [("total", 7, 16), ("edge", 15, 17)])
+    @pytest.mark.usefixtures("no_symmetry")
     def test_agrees_with_the_tree_on_connected_6_vertex_graphs(self, monkeypatch, mode,
                                                                both, decided):
         # at 50,000 nodes each: the same verdict wherever both decide, on
         # the graphs whose lower bound leaves two weights to search for
+        self.agree(monkeypatch, mode, both, decided)
+
+    @pytest.mark.parametrize("mode,both,decided", [("total", 7, 17), ("edge", 17, 17)])
+    def test_agrees_with_the_tree_under_the_orbit_constraints(self, monkeypatch, mode,
+                                                              both, decided):
+        self.agree(monkeypatch, mode, both, decided)
+
+    @staticmethod
+    def agree(monkeypatch, mode, both, decided):
         nx = pytest.importorskip("networkx")
         graphs = [Graph.from_edges(6, G.edges()) for G in nx.graph_atlas_g()
                   if G.number_of_nodes() == 6 and nx.is_connected(G)]
@@ -667,7 +835,18 @@ class TestClassFirst:
         (fam("cycle", 5), "total", 0), (fam("cycle", 5), "edge", 0),
         (fam("cycle", 7), "total", 0), (fam("empty", 3), "total", 0),
     ])
+    @pytest.mark.usefixtures("no_symmetry")
     def test_refutations(self, g, mode, nodes):
+        res = find_with_at_most_k(g, 2, mode, QUICK)
+        assert (res.status, res.nodes_explored) == ("none", nodes)
+
+    @pytest.mark.parametrize("g,mode,nodes", [
+        # C4 ∪ K1: 42,575 tree nodes
+        (graph6_decode("Dl?"), "total", 2), (graph6_decode("Dl?"), "edge", 2),
+        # atlas 79: 1,126,187 tree nodes
+        (Graph.from_edges(6, [(0, 1), (0, 2), (0, 3), (3, 4), (3, 5)]), "total", 23_770),
+    ])
+    def test_refutations_under_the_orbit_constraints(self, g, mode, nodes):
         res = find_with_at_most_k(g, 2, mode, QUICK)
         assert (res.status, res.nodes_explored) == ("none", nodes)
 
@@ -676,6 +855,7 @@ class TestClassFirst:
         # no edge: every labeling will do, and no node is searched
         (fam("empty", 3), "edge", 0), (fam("empty", 2), "total", 0),
     ])
+    @pytest.mark.usefixtures("no_symmetry")
     def test_witnesses(self, g, mode, nodes):
         res = find_with_at_most_k(g, 2, mode, QUICK)
         assert (res.status, res.nodes_explored) == ("found", nodes)
@@ -687,25 +867,36 @@ class TestClassFirst:
         ("path:11", 10_942), ("path:13", 102_910), ("path:15", 59_765),
         ("atlas:525", 3_645), ("atlas:670", 39_875),  # atlas 670 is K2,5
     ])
+    @pytest.mark.usefixtures("no_symmetry")
     def test_two_weights_found(self, name, nodes):
-        kind, n = name.split(":")
-        if kind == "atlas":
-            G = pytest.importorskip("networkx").graph_atlas(int(n))
-            g = Graph.from_edges(G.number_of_nodes(), G.edges())
-        else:
-            g = fam(kind, int(n))
+        g = named(name)
         res = find_with_at_most_k(g, 2, "total", SolveBudget(max_nodes=3_000_000))
         assert (res.status, res.nodes_explored) == ("found", nodes)
         report = verify(g, res.certificate)
         assert report.valid and report.profile.distinct_count == 2
 
+    @pytest.mark.parametrize("name,nodes", [
+        # 6,282, 3,645 and 39,875 nodes without the orbit constraints, and
+        # K2,7 unknown at 3M; the paths do not move
+        ("cycle:4", 2_661), ("atlas:525", 2_420), ("atlas:670", 10_899),
+        ("complete_bipartite:2:7", 1_484_889), ("path:13", 102_910),
+    ])
+    def test_two_weights_found_under_the_orbit_constraints(self, name, nodes):
+        self.test_two_weights_found(name, nodes)
+
     @pytest.mark.parametrize("g,nodes", [(fam("complete_bipartite", 2, 5), 72_643),
                                          (fam("path", 11), 43_710)])
+    @pytest.mark.usefixtures("no_symmetry")
     def test_solve_decides_two_weights_after_the_witness_pass(self, g, nodes):
         # at the parent's order both ran their 3M nodes: 2..3 and 2..4
         res = solve_min_distinct(g, "total", SolveBudget(max_nodes=3_000_000))
         assert (res.status, res.value, res.nodes_explored) == ("exact", 2, nodes)
         assert verify(g, res.certificate).profile.distinct_count == 2
+
+    @pytest.mark.parametrize("g,nodes", [(fam("complete_bipartite", 2, 5), 43_667),
+                                         (fam("path", 11), 43_710)])
+    def test_solve_decides_two_weights_under_the_orbit_constraints(self, g, nodes):
+        self.test_solve_decides_two_weights_after_the_witness_pass(g, nodes)
 
     @pytest.mark.parametrize("p,q,size", [
         (9, 8, (5, 4)), (9, 8, (4, 5)), (7, 10, (2, 5)), (5, 4, (3, 2)), (7, 6, (1, 6)),
@@ -766,6 +957,15 @@ class TestIterValidLabelings:
         assert len(set(labs)) == 30
         for lab in labs:
             assert verify(k4, lab).valid
+
+    @pytest.mark.parametrize("kind,n,mode", [("cycle", 4, "total"), ("complete", 4, "edge"),
+                                             ("wheel", 4, "edge")])
+    def test_lists_every_labeling_with_the_constraints_on(self, monkeypatch, kind, n, mode):
+        # C4 has 8 automorphisms, K4 24 and W4 8: each labeling is listed,
+        # not one of each class
+        on = iter_valid_labelings(fam(kind, n), mode, 10**6)
+        monkeypatch.setattr(solver, *RULES["symmetry"])
+        assert on == iter_valid_labelings(fam(kind, n), mode, 10**6)
 
     def test_budget_stop_is_reported(self):
         with pytest.raises(TooLargeError, match="21 nodes with 2 of 50"):
