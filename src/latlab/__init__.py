@@ -17,7 +17,7 @@ _EXPORTS = {
     "transforms": ("cone_to_total", "double_cone_collapse", "total_to_cone"),
     "coloring": ("chromatic_number",),
     "bounds": ("BoundsReport", "KnownResult", "bounds_report", "chi_lat_lower_bound",
-               "chi_lat_upper_bound_via_cone", "known_value"),
+               "known_value"),
     "budget": ("SolveBudget",),
     "solver": ("FeasibilityResult", "SearchMode", "SolveResult", "find_with_at_most_k",
                "iter_valid_labelings", "solve_min_distinct"),

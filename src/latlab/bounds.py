@@ -2,8 +2,8 @@
 
 The lower bound combines the chromatic number (a valid labeling's weights
 form a proper coloring) with the isolated-vertex count (isolated vertices
-all carry distinct weights in total mode).  The upper bound route solves
-the cone K1∨G in edge mode and transfers the certificate down.
+all carry distinct weights in total mode).  The upper bound is a proven
+table value or the trivial p; nothing here searches (`latlab solve` does).
 """
 
 from __future__ import annotations
@@ -11,8 +11,7 @@ from __future__ import annotations
 from typing import NamedTuple, Optional, Tuple
 
 from .coloring import chromatic_lower_bound
-from .graph import FamilySpec, Graph, join
-from .labeling import Labeling
+from .graph import FamilySpec, Graph
 
 
 class KnownResult(NamedTuple):
@@ -27,16 +26,9 @@ class BoundsReport(NamedTuple):
     chromatic: int  # above the exact-coloring order, a clique or odd-cycle bound
     isolated_count: int
     lower: int
-    upper: Optional[int]
-    upper_source: Optional[str]  # "cone-solver" | "known-table" | "trivial"
+    upper: int
+    upper_source: str  # "known-table" | "trivial"
     notes: Tuple[str, ...] = ()
-
-
-class ConeUpperBound(NamedTuple):
-    value: int
-    exact: bool
-    base_graph: Graph
-    witness: Optional[Labeling]
 
 
 def chi_lat_lower_bound(g: Graph) -> int:
@@ -44,29 +36,6 @@ def chi_lat_lower_bound(g: Graph) -> int:
     odd-cycle bound above the exact-coloring order; equals n on the
     edgeless graph On."""
     return max(chromatic_lower_bound(g), len(g.isolated_vertices()))
-
-
-def chi_lat_upper_bound_via_cone(g: Graph, budget=None) -> Optional[ConeUpperBound]:
-    """Solve the cone K1∨G in edge mode and subtract one.
-
-    An exact cone value c yields the bound c-1 witnessed by the transferred
-    total labeling; a non-exact run still yields the incumbent-derived
-    bound.  Returns None when this route gives nothing (e.g. G = K1, whose
-    cone is an isolated edge).
-    """
-    from .solver import GENEROUS_BUDGET, SearchMode, solve_min_distinct
-    from .transforms import cone_to_total
-
-    if g.p == 0:
-        return None
-    if budget is None:
-        budget = GENEROUS_BUDGET
-    cone = join(g, Graph(1, ()))
-    res = solve_min_distinct(cone, SearchMode.EDGE, budget)
-    if res.status not in ("exact", "lower_upper"):  # no certificate
-        return None
-    base, f = cone_to_total(cone, res.certificate, apex=g.p)
-    return ConeUpperBound(res.upper - 1, res.status == "exact", base, f)
 
 
 # ---------------------------------------------------------------------------
@@ -169,44 +138,28 @@ def _bipartite_value(a: int, b: int) -> Optional[KnownResult]:
     return None
 
 
-def bounds_report(g: Graph, family: Optional[FamilySpec] = None,
-                  budget=None) -> BoundsReport:
-    """Combined bounds for chi_lat of g.
+def bounds_report(g: Graph, family: Optional[FamilySpec] = None) -> BoundsReport:
+    """Combined bounds for chi_lat of g, found without search.
 
     The upper bound comes from the known table when a family is given and
-    the table has a theorem entry, else from the cone solver when a budget
-    is given, else from the trivial bound p (every graph has some valid
-    labeling).
+    the table has a non-conjecture entry, else from the trivial bound p
+    (every graph has a local antimagic total labeling).
     """
     chrom = chromatic_lower_bound(g)
     isolated = len(g.isolated_vertices())
     lower = max(chrom, isolated)
     notes = []
-    upper = None
-    source = None
-
+    upper, source = g.p, "trivial"
     if family is not None:
         kr = known_value(family)
         if kr is not None and kr.quantity == "chi_lat":
             notes.append(f"known[{kr.citation}]: {kr.quantity} in "
                          f"[{kr.low},{kr.high}] ({kr.status})")
             if kr.status != "conjecture":
-                upper = kr.high
-                source = "known-table"
+                upper, source = kr.high, "known-table"
 
-    if upper is None and budget is not None:
-        cone = chi_lat_upper_bound_via_cone(g, budget)
-        if cone is not None:
-            upper = cone.value
-            source = "cone-solver"
-            notes.append("cone bound " + ("exact" if cone.exact else "incumbent-derived"))
-
-    if upper is None and g.p >= 1:
-        upper = g.p
-        source = "trivial"
-
-    if upper is not None and upper < lower:
-        # a known range can sit above a solver-confirmed lower; never invert
+    if upper < lower:
+        # a table entry below the computed lower bound: never invert
         notes.append("upper raised to lower (inconsistent sources)")
         upper = lower
     return BoundsReport(chrom, isolated, lower, upper, source, tuple(notes))

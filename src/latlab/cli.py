@@ -199,8 +199,7 @@ def cmd_export_dot(args) -> int:
 def cmd_bounds(args) -> int:
     from .bounds import bounds_report, known_value
     g, spec = _load_graph(args)
-    budget = _budget_from_args(args) if args.cone else None
-    report = bounds_report(g, family=spec, budget=budget)
+    report = bounds_report(g, family=spec)
     payload = {
         "chromatic": report.chromatic,
         "isolated": report.isolated_count,
@@ -314,10 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("graph", nargs="?", default=None)
     sp.add_argument("--family", default=None)
     sp.add_argument("--format", choices=["edge-list", "graph6"], default="edge-list")
-    sp.add_argument("--cone", action="store_true",
-                    help="compute the cone-solver upper bound")
     sp.add_argument("--json", action="store_true")
-    _add_budget_flags(sp)
     sp.set_defaults(func=cmd_bounds)
 
     sp = sub.add_parser("atlas", help="batch-solve a graph6 stream with caching")

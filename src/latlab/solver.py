@@ -664,6 +664,12 @@ class _Search:
         return best, best_lab
 
 
+def _lower_bound(g: Graph, mode: SearchMode) -> int:
+    """A lower bound, at least 1, on the weights of any labeling of g in this mode."""
+    return max(1, chi_lat_lower_bound(g) if mode is SearchMode.TOTAL
+               else chromatic_lower_bound(g))
+
+
 def solve_min_distinct(g: Graph, mode: SearchMode,
                        budget: SolveBudget = GENEROUS_BUDGET) -> SolveResult:
     """Minimum distinct-weight count: a witness search, then fixed-k searches.
@@ -684,8 +690,7 @@ def solve_min_distinct(g: Graph, mode: SearchMode,
     if mode is SearchMode.EDGE and has_isolated_edge(g):
         return SolveResult("infeasible")
     started = time.monotonic()  # the time budget covers the bound and set-up
-    lower = max(1, chi_lat_lower_bound(g) if mode is SearchMode.TOTAL
-                else chromatic_lower_bound(g))
+    lower = _lower_bound(g, mode)
     srch = _Search(g, mode, budget, started)
     best = assign = None
     # the moves take at most a quarter of the node budget, and of the nodes
@@ -741,7 +746,7 @@ def find_with_at_most_k(g: Graph, k: int, mode: SearchMode,
     if mode is SearchMode.EDGE and has_isolated_edge(g):
         return FeasibilityResult("none")
     started = time.monotonic()  # the time budget covers set-up
-    if k < (chi_lat_lower_bound(g) if mode is SearchMode.TOTAL else chromatic_lower_bound(g)):
+    if k < _lower_bound(g, mode):
         return FeasibilityResult("none")  # before any set-up
     srch = _Search(g, mode, budget, started)
     if k == 2 and _CLASS_FIRST:

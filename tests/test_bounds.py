@@ -4,11 +4,9 @@ from itertools import combinations, product
 import pytest
 
 from latlab import (FamilySpec, Graph, SolveBudget, TooLargeError, bounds_report,
-                    chi_lat_lower_bound, chi_lat_upper_bound_via_cone,
-                    chromatic_number, generate, known_value, solve_min_distinct,
-                    verify)
+                    chi_lat_lower_bound, chromatic_number, generate, known_value,
+                    solve_min_distinct)
 from latlab.coloring import _colorable, _greedy_clique
-from latlab.graph import join
 from oracle import greedy_clique_by_edge_scan
 
 QUICK = SolveBudget(max_nodes=50_000_000, max_millis=120_000)
@@ -111,44 +109,6 @@ class TestLowerBound:
         assert chi_lat_lower_bound(generate(FamilySpec(kind, params))) == lower
 
 
-class TestConeUpperBound:
-    def test_c3(self):
-        bound = chi_lat_upper_bound_via_cone(fam("cycle", 3), QUICK)
-        assert bound is not None and bound.exact
-        assert bound.value == 3
-        report = verify(bound.base_graph, bound.witness)
-        assert report.valid and report.profile.distinct_count <= bound.value
-
-    def test_p2(self):
-        bound = chi_lat_upper_bound_via_cone(fam("path", 2), QUICK)
-        assert bound.exact and bound.value == 2
-
-    def test_budget_cut_cone_still_bounds(self):
-        # at 1,000 nodes the cone of P6 (a fan) ends at 3..5 weights: the
-        # incumbent's 5 - 1 bounds P6, though not exactly
-        g = fam("path", 6)
-        res = solve_min_distinct(join(g, Graph(1, ())), "edge", SolveBudget(max_nodes=1_000))
-        assert (res.status, res.upper) == ("lower_upper", 5)
-        bound = chi_lat_upper_bound_via_cone(g, SolveBudget(max_nodes=1_000))
-        assert not bound.exact and bound.value == res.upper - 1 == 4
-        assert bound.base_graph == g
-        report = verify(g, bound.witness)
-        assert report.valid and report.profile.distinct_count <= bound.value
-
-    def test_o1_no_bound(self):
-        assert chi_lat_upper_bound_via_cone(Graph(1, ()), QUICK) is None
-
-    def test_sandwich_consistency(self):
-        for spec in [FamilySpec("cycle", (3,)), FamilySpec("cycle", (4,)),
-                     FamilySpec("path", (3,)), FamilySpec("path", (4,))]:
-            g = generate(spec)
-            exact = solve_min_distinct(g, "total", QUICK).value
-            assert chi_lat_lower_bound(g) <= exact
-            bound = chi_lat_upper_bound_via_cone(g, QUICK)
-            if bound is not None and bound.exact:
-                assert exact <= bound.value
-
-
 class TestKnownValues:
     @pytest.mark.parametrize("spec,expected", [
         (FamilySpec("cycle", (7,)), (3, 3, "theorem")),
@@ -217,11 +177,11 @@ class TestBoundsReport:
         assert report.upper_source != "known-table"
         assert any("conjecture" in note for note in report.notes)
 
-    def test_cone_source(self):
-        report = bounds_report(fam("path", 2), budget=QUICK)
-        assert report.upper == 2 and report.upper_source == "cone-solver"
-
     def test_trivial_fallback(self):
-        report = bounds_report(Graph(1, ()), budget=QUICK)
+        report = bounds_report(Graph(1, ()))
         assert report.upper == 1 and report.upper_source == "trivial"
         assert report.lower == 1
+
+    def test_order_zero_has_the_trivial_bound(self):
+        report = bounds_report(Graph(0, ()))
+        assert (report.lower, report.upper, report.upper_source) == (0, 0, "trivial")

@@ -195,13 +195,6 @@ class TestBounds:
         assert code == 0
         assert json.loads(out)["lower"] == 2
 
-    def test_cone_flag(self, capsys, tmp_path):
-        path = tmp_path / "p2.txt"
-        path.write_text("0 1\n")
-        code, out, _ = run(capsys, "bounds", str(path), "--cone", "--json")
-        payload = json.loads(out)
-        assert payload["upper"] == 2 and payload["upper_source"] == "cone-solver"
-
 
 class TestDotCommand:
     def test_dot_output(self, capsys, tmp_path):

@@ -150,6 +150,9 @@ def test_each_command_loads_only_its_modules(tmp_path, monkeypatch, capsys):
     out, loaded = _loaded_by(["atlas", str(stream)], tmp_path / "cache")
     assert out.count("cached=True") == 2 and "latlab.cache" in loaded
     assert not loaded & NEVER_LOADED_BY_CHECKS
+    out, loaded = _loaded_by(["bounds", "--family", "wheel:5"])
+    assert "upper_source=trivial" in out and "latlab.bounds" in loaded
+    assert not loaded & {"latlab.solver", "latlab.transforms", "latlab.budget"}
 
 
 def test_atlas_without_a_cache_makes_no_certificate(tmp_path):
