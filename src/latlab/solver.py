@@ -18,6 +18,7 @@ import sys
 import time
 from enum import Enum
 from itertools import chain
+from math import exp, inf
 from typing import NamedTuple, Optional
 
 from .bounds import chi_lat_lower_bound
@@ -178,8 +179,9 @@ class _Search:
 
     def __init__(self, g: Graph, mode: SearchMode, budget: SolveBudget, started=None):
         # the time budget covers set-up, slot ordering included, from `started`
-        self.deadline = None if budget.max_millis is None else (
+        self.deadline = inf if budget.max_millis is None else (
             (time.monotonic() if started is None else started) + budget.max_millis / 1000.0)
+        self.limit = sys.maxsize if budget.max_nodes is None else budget.max_nodes
         n, vslots, touches = _slot_model(g, mode)
         self.n = n
         # a vertex fed by r slots weighs at most the sum of the r largest labels
@@ -195,7 +197,6 @@ class _Search:
         self.above = None  # see `floors`
         self.nodes = 0
         self.cut = False  # set when the budget stopped the search
-        self.max_nodes = budget.max_nodes
         at = {v: d for d, s in enumerate(order) for v in touches[s]}  # v completes at d
         self.steps = []
         for d, s in enumerate(order):
@@ -207,6 +208,18 @@ class _Search:
         # the vertices in the order the slots first touch them, then the others
         self.vorder = list(dict.fromkeys([v for s in order for v in touches[s]]
                                          + list(range(g.p))))
+
+    def next_stop(self, nodes):
+        """The one budget check of the node-counted searches, made when the
+        `nodes` charged reach a stop node: one past the node limit, or a
+        multiple of 1,024, where the clock is read.  Stores `nodes`; returns
+        0, setting `cut`, when the budget stops the search, else the next
+        stop node, min(limit, nodes | 1023) + 1, where a search also starts."""
+        self.nodes = nodes
+        if nodes > self.limit or time.monotonic() > self.deadline:
+            self.cut = True
+            return 0
+        return min(self.limit, nodes | 1023) + 1
 
     def floors(self):
         """Per depth, the earlier slots whose labels the slot there must
@@ -251,8 +264,7 @@ class _Search:
                     images = ends[t] if v in ends[s] else range(p)
                     for j in range(tried[i], len(images)):
                         w, steps = images[j], steps + 1
-                        if (not steps & 1023 and self.deadline is not None
-                                and time.monotonic() > self.deadline):
+                        if not steps & 1023 and time.monotonic() > self.deadline:
                             self.cut = True
                             return above
                         if col[w] == col[v] and all(m[u] != w and (u in nb[v]) == (m[u] in nb[w])
@@ -276,16 +288,16 @@ class _Search:
         labeling in `assign` until resumed.  A slot starts above its floor,
         the largest label of its `floors`; each free label tried from there
         counts one node, on top of the `nodes` already charged; `cut` is set
-        when the budget stops the search.  The weight tables are made per
-        call, so a restart starts clean and a solve the witness search
-        closes never makes them.  With `allowed` weights present, a label
-        that would add one is refused by one `wcount` read, unapplied, and
-        still counts its node, so the tree is that of applying it; so is a
-        label completing both ends of an edge that would add two with one
-        to spare.  At most p - 1 weights precede a vertex's completion:
-        max(p, 1) refuses none."""
+        when the budget stops the search (`next_stop`).  The weight tables
+        are made per call, so a restart starts clean and a solve the witness
+        search closes never makes them.  With `allowed` weights present, a
+        label that would add one is refused by one `wcount` read, unapplied,
+        and still counts its node, so the tree is that of applying it; so is
+        one completing both ends of an edge that would add two with one to
+        spare: no applied label takes the weights past `allowed`.  At most
+        p - 1 weights precede a vertex's completion: max(p, 1) refuses none."""
         above = self.floors()
-        if self.cut or self.deadline is not None and time.monotonic() > self.deadline:
+        if self.cut or time.monotonic() > self.deadline:
             self.cut = True  # set-up outlasted the budget: search no node
             return
         n, steps, assign = self.n, self.steps, self.assign
@@ -295,11 +307,8 @@ class _Search:
         # vertices with no contributing slots (isolated, edge mode) weigh 0
         wcount[0] = sum(1 for s in self.vslots if not s)
         distinct = int(wcount[0] > 0)
-        limit = self.max_nodes if self.max_nodes is not None else sys.maxsize
-        deadline, monotonic, nodes = self.deadline, time.monotonic, self.nodes
-        # a node at or past `stop` is past the limit or, with a deadline,
-        # on a multiple of 1,024, where the clock is read
-        stop = limit + 1 if deadline is None else min(limit + 1, (nodes | 1023) + 1)
+        nodes = self.nodes
+        stop = min(self.limit, nodes | 1023) + 1  # see `next_stop`
         # free labels as a doubly linked list between sentinels 0 and n + 1
         nxt = list(range(1, n + 2))
         prv = list(range(-1, n + 1))
@@ -326,20 +335,14 @@ class _Search:
                         while label <= n and ((not wcount[base + label])
                                               + (not wcount[other + label]) > room):
                             nodes += 1
-                            if nodes >= stop:
-                                if nodes > limit or monotonic() > deadline:
-                                    self.nodes, self.cut = nodes, True
-                                    return
-                                stop = min(limit + 1, nodes + 1024)
+                            if nodes >= stop and not (stop := self.next_stop(nodes)):
+                                return
                             label = nxt[label]
                     elif distinct == allowed:
                         while label <= n and not wcount[base + label]:
                             nodes += 1
-                            if nodes >= stop:
-                                if nodes > limit or monotonic() > deadline:
-                                    self.nodes, self.cut = nodes, True
-                                    return
-                                stop = min(limit + 1, nodes + 1024)
+                            if nodes >= stop and not (stop := self.next_stop(nodes)):
+                                return
                             label = nxt[label]
                 if label > n:
                     if depth == 0:
@@ -360,11 +363,8 @@ class _Search:
                     label = nxt[label]
                     continue
                 nodes += 1
-                if nodes >= stop:
-                    if nodes > limit or monotonic() > deadline:
-                        self.nodes, self.cut = nodes, True
-                        return
-                    stop = min(limit + 1, nodes + 1024)
+                if nodes >= stop and not (stop := self.next_stop(nodes)):
+                    return
                 wpart[ta] += label
                 wpart[tb] += label
                 if not done:
@@ -378,13 +378,7 @@ class _Search:
                         if not wcount[w]:
                             distinct += 1
                         wcount[w] += 1
-                    if distinct <= allowed:
-                        break  # leaves the while loop: place label, descend
-                    for v in done:
-                        w = wpart[v]
-                        wcount[w] -= 1
-                        if not wcount[w]:
-                            distinct -= 1
+                    break  # leaves the while loop: place label, descend
                 wpart[ta] -= label
                 wpart[tb] -= label
                 label = nxt[label]
@@ -410,8 +404,9 @@ class _Search:
         edge label once, to q(q+1)/2.  Each colouring and each pair costs
         one node.  Returns the number of weights of the labeling left in
         `assign`, or None when none exists or `cut` is set, under the budget
-        rules of `labelings`."""
-        if self.deadline is not None and time.monotonic() > self.deadline:
+        rule of `next_stop`, each node tested for a stop node as `_fill`
+        charges nodes too."""
+        if time.monotonic() > self.deadline:
             self.cut = True
             return None
         g, n, p = self.g, self.n, self.g.p
@@ -437,7 +432,6 @@ class _Search:
             v0 = done[0] if done else -1
             fsteps.append((s, ta, tb, v0, done[-1] if done else v0, *opens[0], *opens[1]))
         taken = [0] * (n + 1)  # labels in use, none after a fill that finds nothing
-        limit = self.max_nodes if self.max_nodes is not None else sys.maxsize
         for color in _colorable(g, 2, self.vorder):
             size, lo, hi = [0, 0], [0, 0], [sys.maxsize] * 2
             for v, c in enumerate(color):
@@ -448,10 +442,8 @@ class _Search:
                     least, most = reach[size[c] + g.q]
                     lo[c], hi[c] = max(lo[c], -(-least // size[c])), min(hi[c], most // size[c])
             for w in chain((None,), _class_weights(n, g.q, size, lo, hi)):
-                self.nodes += 1  # the colouring's node, then each pair's
-                if self.nodes > limit or (not self.nodes & 1023 and self.deadline is not None
-                                          and time.monotonic() > self.deadline):
-                    self.cut = True
+                nodes = self.nodes = self.nodes + 1  # the colouring's node, then each pair's
+                if (nodes > self.limit or not nodes & 1023) and not self.next_stop(nodes):
                     return None
                 if w and self._fill([w[c] for c in color] + [0], fsteps, taken):
                     return 2
@@ -473,9 +465,8 @@ class _Search:
         n, assign, above = self.n, self.assign, self.floors()
         if self.cut:
             return False
-        limit = self.max_nodes if self.max_nodes is not None else sys.maxsize
-        deadline, monotonic, nodes = self.deadline, time.monotonic, self.nodes
-        stop = limit + 1 if deadline is None else min(limit + 1, (nodes | 1023) + 1)
+        nodes = self.nodes
+        stop = min(self.limit, nodes | 1023) + 1  # see `next_stop`
         tops = [0] * n  # the last label a free slot may take, per depth
         depth = label = 0  # label 0 enters a depth; above, resumes its scan there
         while True:
@@ -483,11 +474,8 @@ class _Search:
             ra, rb = rem[ua], rem[ub]
             if v0 >= 0:  # forced
                 nodes += 1
-                if nodes >= stop:
-                    if nodes > limit or monotonic() > deadline:
-                        self.nodes, self.cut = nodes, True
-                        return False
-                    stop = min(limit + 1, nodes + 1024)
+                if nodes >= stop and not (stop := self.next_stop(nodes)):
+                    return False
                 label = top = rem[v0]
                 if not (0 < label <= n and not taken[label] and rem[v1] == label
                         and la <= ra - label <= ha
@@ -513,11 +501,8 @@ class _Search:
                 while label <= top:
                     if not taken[label]:
                         nodes += 1
-                        if nodes >= stop:
-                            if nodes > limit or monotonic() > deadline:
-                                self.nodes, self.cut = nodes, True
-                                return False
-                            stop = min(limit + 1, nodes + 1024)
+                        if nodes >= stop and not (stop := self.next_stop(nodes)):
+                            return False
                         if not (ka and (taken[ra - label] or ra == 2 * label)
                                 or kb and (taken[rb - label] or rb == 2 * label)):
                             break
@@ -570,9 +555,8 @@ class _Search:
         move and then every 1,024.  Returns the fewest weights of a valid
         labeling met and its slot labels, or (None, None)."""
         deadline, monotonic = self.deadline, time.monotonic
-        if deadline is not None and monotonic() > deadline:
+        if monotonic() > deadline:
             return None, None
-        from math import exp
         g, n, p, touches = self.g, self.n, self.g.p, self.touches
         nbrs = [g.neighbors(v) for v in range(p)]
         # the shuffle takes n - 1 draws and a move at most 3: draws[di] is next
@@ -598,7 +582,7 @@ class _Search:
         made = 0
         while made < moves and (best is None or best > lower):
             if not made & 127:  # the draws of the next 128 moves, and every 1,024 the clock
-                if made and not made & 1023 and deadline is not None and monotonic() > deadline:
+                if made and not made & 1023 and monotonic() > deadline:
                     break
                 draws = _draws(di + 384)
             made += 1
@@ -701,7 +685,7 @@ def solve_min_distinct(g: Graph, mode: SearchMode,
         tree += step
         if tree >= span:
             break
-    moves = min(span, tree, budget.max_nodes or span) // (4 * _MOVE_NODES)
+    moves = min(span, tree, srch.limit) // (4 * _MOVE_NODES)
     if moves:
         best, assign = srch.anneal(lower, moves)
     if lower == 2 and best != 2 and _CLASS_FIRST:

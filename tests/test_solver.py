@@ -5,7 +5,7 @@ import sys
 import time
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, count
+from itertools import combinations, count, islice
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -349,6 +349,27 @@ class TestSearchTree:
         srch = _Search(fam("cycle", 5), SearchMode.TOTAL, QUICK)
         assert next(srch.labelings(2), None) is None
         assert (srch.nodes, srch.cut) == (939_492, False)
+
+    def test_no_applied_label_exceeds_allowed(self):
+        # a label that would take the weights past `allowed` is refused
+        # before it is applied, so the tree never undoes one: every atlas
+        # graph on at most 5 vertices, both modes, each `allowed` from the
+        # lower bound to p, the first 200 labelings of each search yield
+        # the distinct count of a valid labeling, at most `allowed`
+        nx = pytest.importorskip("networkx")
+        budget, wrong = SolveBudget(max_nodes=300_000), []
+        for i, G in enumerate(nx.graph_atlas_g()[:53]):
+            g = Graph.from_edges(G.number_of_nodes(), G.edges())
+            for mode in SearchMode:
+                for allowed in range(solver._lower_bound(g, mode), g.p + 1):
+                    srch = _Search(g, mode, budget)
+                    for found in islice(srch.labelings(allowed), 200):
+                        lab = solver._labeling_from_assignment(g, mode, srch.assign)
+                        report = verify(g, lab)
+                        if not (report.valid and report.profile.distinct_count == found
+                                and found <= allowed):
+                            wrong.append((i, mode.value, allowed, found, lab))
+        assert wrong == []
 
     @pytest.mark.parametrize("kind,n,value,nodes,edge_labels", [
         ("wheel", 4, 3, 8_141, (7, 3, 1, 2, 6, 4, 5, 8)),
@@ -771,6 +792,9 @@ class TestWitnessPhase:
         assert srch.nodes == made * solver._MOVE_NODES
 
 
+CAPS = (1, 2, 3, 1_023, 1_024, 1_025, 33_333)  # node budgets that cut P13 class first
+
+
 class TestClassFirst:
     """k = 2 is decided class first: each proper colouring into at most
     two classes, then each pair of class weights that fits it, then the
@@ -920,12 +944,19 @@ class TestClassFirst:
             pairs.sort(key=lambda w: (away(size[0], w[0]), w[0], away(size[1], w[1]), w[1]))
             assert list(_class_weights(n, q, size, (lo, lo1), (hi, hi1))) == pairs
 
-    @pytest.mark.parametrize("limit", [1, 2, 3, 1_023, 1_024, 1_025, 33_333])
-    def test_capped_run_reports_the_refused_node(self, limit):
+    @pytest.mark.parametrize("limit", CAPS)
+    def test_capped_run_reports_the_refused_node(self, limit, max_millis=None):
         # P13 is found after 102,910 nodes: the budget stops each of these
         # on a colouring's, a pair's or a label's node
-        res = find_with_at_most_k(fam("path", 13), 2, "total", SolveBudget(max_nodes=limit))
+        budget = SolveBudget(max_nodes=limit, max_millis=max_millis)
+        res = find_with_at_most_k(fam("path", 13), 2, "total", budget)
         assert (res.status, res.nodes_explored) == ("unknown", limit + 1)
+
+    @pytest.mark.parametrize("limit", CAPS)
+    def test_capped_run_under_a_far_deadline(self, limit):
+        # a time budget the search never reaches: the same stops, through
+        # the fill's and the pair loop's clock readings
+        self.test_capped_run_reports_the_refused_node(limit, 10**9)
 
     @pytest.mark.parametrize("reads,nodes", [(2, 0), (3, 1_024), (5, 3_072)])
     def test_deadline_is_read_every_1024_nodes(self, monkeypatch, reads, nodes):
