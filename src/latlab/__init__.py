@@ -20,7 +20,7 @@ _EXPORTS = {
                "known_value"),
     "budget": ("SolveBudget",),
     "solver": ("FeasibilityResult", "SearchMode", "SolveResult", "find_with_at_most_k",
-               "iter_valid_labelings", "solve_min_distinct"),
+               "solve_min_distinct"),
     "certificate": ("Certificate", "export_dot", "make_certificate", "read_certificate",
                     "write_certificate"),
 }

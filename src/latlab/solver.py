@@ -3,12 +3,11 @@
 solve_min_distinct / find_with_at_most_k run a pruned backtracking search
 over label slots, filled in a static order that completes the most
 constrained vertex first, one labeling per automorphism class
-(`_Search.floors`); iter_valid_labelings lists every labeling in that
-order.  solve_min_distinct first looks for a witness at the lower bound by
-a seeded annealing pass, then searches below each labeling found.  Two
-weights are decided class first (`_Search.two_weights`): each proper
-colouring into two classes, then each pair of class weights, then the
-labels.
+(`_Search.floors`).  solve_min_distinct first looks for a witness at the
+lower bound by a seeded annealing pass, then searches below each labeling
+found.  Two weights are decided class first (`_Search.two_weights`): each
+proper colouring into two classes, then each pair of class weights, then
+the labels.
 """
 
 from __future__ import annotations
@@ -742,31 +741,6 @@ def find_with_at_most_k(g: Graph, k: int, mode: SearchMode,
     cert = _labeling_from_assignment(g, mode, srch.assign)
     _check_witness(g, cert, None)
     return FeasibilityResult("found", cert, srch.nodes)
-
-
-def iter_valid_labelings(g: Graph, mode: SearchMode, limit: int,
-                         budget: SolveBudget = GENEROUS_BUDGET):
-    """First `limit` valid labelings in deterministic search order, all of
-    each automorphism class (no `_Search.floors`).
-
-    Raises TooLargeError when the budget stops the search first; a search
-    that closes with fewer labelings returns them all."""
-    if limit < 0:
-        raise ParameterError(f"limit must be >= 0, got {limit}")
-    mode = SearchMode(mode)
-    if limit == 0:
-        return []
-    srch = _Search(g, mode, budget)
-    srch.above = [()] * srch.n
-    found = []
-    for _ in srch.labelings(max(g.p, 1)):
-        found.append(_labeling_from_assignment(g, mode, srch.assign))
-        if len(found) >= limit:
-            return found
-    if srch.cut:
-        raise TooLargeError(f"budget stopped the search after {srch.nodes} nodes "
-                            f"with {len(found)} of {limit} labelings found")
-    return found
 
 
 def _check_witness(g: Graph, cert: Labeling, value):

@@ -3,16 +3,19 @@ against.
 
 It enumerates every bijection of the label universe (numpy-chunked) and
 shares no code with the solver's search: it builds its own slot lists and
-checks its witness with the package's public verifier.  A reference
-annealer, which rescores every labeling from scratch, checks the solver's
-incremental witness search move by move.
+checks its witness with the package's public verifier.  It also lists
+valid labelings, every one or a seeded sample, for the transform tests and
+the tree's completeness test.  A reference annealer, which rescores every
+labeling from scratch, checks the solver's incremental witness search move
+by move.
 """
 
+import random
 from collections import Counter
 from itertools import islice, permutations
 from math import exp
 
-from latlab import IntegrityError, Labeling, SearchMode, SolveResult, TooLargeError
+from latlab import IntegrityError, Labeling, SearchMode, SolveResult, TooLargeError, verify
 from latlab.labeling import check
 
 BRUTE_FORCE_UNIVERSE_LIMIT = 10
@@ -35,6 +38,32 @@ def _labeling(g, mode, assign):
     if mode is SearchMode.TOTAL:
         return Labeling(tuple(assign[: g.p]), tuple(assign[g.p:]))
     return Labeling(None, tuple(assign))
+
+
+def valid_labelings(g, mode):
+    """Every valid labeling, in lex order of the slot labels: each
+    permutation of the label universe that the public verifier passes."""
+    mode = SearchMode(mode)
+    n, _ = _vertex_slots(g, mode)
+    every = (_labeling(g, mode, perm) for perm in permutations(range(1, n + 1)))
+    return [lab for lab in every if verify(g, lab).valid]
+
+
+def sample_valid_labelings(g, mode, count, seed=0):
+    """`count` distinct valid labelings, in the order first drawn: seeded
+    shuffles of the label universe, kept when the public verifier passes
+    them.  Fewer when 1,000 shuffles per labeling asked for find no more."""
+    mode = SearchMode(mode)
+    n, _ = _vertex_slots(g, mode)
+    rng, labels, found = random.Random(seed), list(range(1, n + 1)), {}
+    for _ in range(1_000 * count):
+        if len(found) == count:
+            break
+        rng.shuffle(labels)
+        lab = _labeling(g, mode, labels)
+        if verify(g, lab).valid:
+            found[lab] = None
+    return list(found)
 
 
 def brute_force_min_distinct(g, mode) -> SolveResult:

@@ -15,6 +15,9 @@ C4_DOC = certificate_to_dict(make_certificate(C4, Labeling((1, 2, 3, 4), (5, 8, 
 P4 = generate(FamilySpec("path", (4,)))
 P4_DOC = certificate_to_dict(make_certificate(P4, Labeling((2, 1, 7, 5), (6, 4, 3)), "test"))
 EDGE_DOC = certificate_to_dict(make_certificate(P4, Labeling(None, (1, 3, 2)), "test"))
+# a bijection with its own weights (7, 15, 15, 9), but edge 1 has equal ends
+CLASH_DOC = certificate_to_dict(make_certificate(P4, Labeling((1, 2, 3, 4), (6, 7, 5)),
+                                                 "test"))
 K2 = generate(FamilySpec("path", (2,)))
 
 
@@ -108,6 +111,7 @@ def test_upper_bound_is_read_off_the_certificate(tmp_path):
     pytest.param("lower_upper", 3, P4_DOC, id="lower-not-below-witness"),
     pytest.param("lower_upper", None, P4_DOC, id="lower-missing"),
     pytest.param("lower_upper", 1, EDGE_DOC, id="witness-of-the-other-mode"),
+    pytest.param("lower_upper", 2, CLASH_DOC, id="witness-with-equal-adjacent-weights"),
     pytest.param("solved", None, None, id="unknown-status"),
 ])
 def test_entry_its_certificate_does_not_back_is_refused(tmp_path, status, lower, doc):

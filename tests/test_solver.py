@@ -13,12 +13,12 @@ import pytest
 
 from latlab import (FamilySpec, Graph, IntegrityError, Labeling, ParameterError,
                     SolveBudget, TooLargeError, disjoint_union, find_with_at_most_k,
-                    generate, iter_valid_labelings, solve_min_distinct, verify)
+                    generate, solve_min_distinct, verify)
 from latlab import chi_lat_lower_bound, solver
 from latlab.coloring import chromatic_lower_bound
 from latlab.graph import graph6_decode
 from latlab.solver import SearchMode, _Search, _class_weights, _slot_order
-from oracle import anneal_by_rescoring, brute_force_min_distinct
+from oracle import anneal_by_rescoring, brute_force_min_distinct, valid_labelings
 
 QUICK = SolveBudget(max_nodes=50_000_000, max_millis=120_000)
 
@@ -447,11 +447,13 @@ class TestSearchTree:
     @pytest.mark.parametrize("name,kind,n,mode", [
         ("c5_total", "cycle", 5, "total"), ("w4_edge", "wheel", 4, "edge"),
     ])
+    @pytest.mark.usefixtures("no_symmetry")
     def test_first_labelings(self, name, kind, n, mode):
         golden = json.loads((Path(__file__).parent / "data" / "first_labelings.json")
                             .read_text())[name]
-        labs = iter_valid_labelings(fam(kind, n), mode, 50)
-        assert [list(lab.labels) for lab in labs] == golden
+        g = fam(kind, n)
+        srch = _Search(g, SearchMode(mode), QUICK)
+        assert [list(srch.assign) for _ in islice(srch.labelings(max(g.p, 1)), 50)] == golden
 
 
 def slot_automorphisms(g, mode):
@@ -517,19 +519,26 @@ class TestOrbit:
         (fam("complete_bipartite", 1, 3), "total", 6), (fam("path", 4), "total", 2),
         (fam("complete_bipartite", 2, 3), "edge", 12),
     ])
-    def test_one_labeling_per_class(self, g, mode, automorphisms):
+    def test_one_labeling_per_class(self, monkeypatch, g, mode, automorphisms):
         # every non-identity slot permutation moves every labeling, so each
         # class holds `automorphisms` labelings; the tree keeps the least
-        # of each in slot order, and no other
+        # of each in slot order, and no other.  Without the constraints it
+        # lists every labeling, in slot order
         perms = slot_automorphisms(g, mode)
         assert len(perms) == automorphisms
         order = _slot_order(g, SearchMode(mode))
-        every = [lab.labels for lab in iter_valid_labelings(g, mode, 10**6)]
+        every = sorted((lab.labels for lab in valid_labelings(g, mode)),
+                       key=lambda x: [x[s] for s in order])
         least = [x for x in every if [x[s] for s in order] == min(
             [x[perm[s]] for s in order] for perm in perms)]
-        srch = _Search(g, SearchMode(mode), QUICK)
-        kept = [tuple(srch.assign) for _ in srch.labelings(max(g.p, 1))]
+
+        def tree():
+            srch = _Search(g, SearchMode(mode), QUICK)
+            return [tuple(srch.assign) for _ in srch.labelings(max(g.p, 1))]
+        kept = tree()
         assert kept == least and len(every) == automorphisms * len(kept)
+        monkeypatch.setattr(solver, *RULES["symmetry"])
+        assert tree() == every
 
     def test_tree_never_searches_more(self, monkeypatch):
         # every atlas graph on at most 5 vertices, both modes, every k from
@@ -662,7 +671,6 @@ class TestWitnessPhase:
     def test_moves_only_in_a_solve(self, calls):
         g = fam("cycle", 5)
         find_with_at_most_k(g, 3, "total", QUICK)
-        iter_valid_labelings(g, "total", 5)
         assert calls == []
         solve_min_distinct(g, "total", QUICK)
         solve_min_distinct(g, "total", SolveBudget(max_nodes=100_000))
@@ -978,42 +986,6 @@ class TestClassFirst:
         res = solve_min_distinct(g, "total", budget)
         assert (res.status, res.lower, res.upper, res.nodes_explored) == \
             ("lower_upper", 2, 3, 40_001)
-
-
-class TestIterValidLabelings:
-    def test_all_distinct_and_valid(self):
-        k4 = fam("complete", 4)
-        labs = iter_valid_labelings(k4, "edge", 30)
-        assert len(labs) == 30
-        assert len(set(labs)) == 30
-        for lab in labs:
-            assert verify(k4, lab).valid
-
-    @pytest.mark.parametrize("kind,n,mode", [("cycle", 4, "total"), ("complete", 4, "edge"),
-                                             ("wheel", 4, "edge")])
-    def test_lists_every_labeling_with_the_constraints_on(self, monkeypatch, kind, n, mode):
-        # C4 has 8 automorphisms, K4 24 and W4 8: each labeling is listed,
-        # not one of each class
-        on = iter_valid_labelings(fam(kind, n), mode, 10**6)
-        monkeypatch.setattr(solver, *RULES["symmetry"])
-        assert on == iter_valid_labelings(fam(kind, n), mode, 10**6)
-
-    def test_budget_stop_is_reported(self):
-        with pytest.raises(TooLargeError, match="21 nodes with 2 of 50"):
-            iter_valid_labelings(fam("wheel", 5), "total", 50, SolveBudget(max_nodes=20))
-
-    def test_closed_search_returns_every_labeling(self):
-        # K2 in total mode: all 3! labelings are valid
-        assert len(iter_valid_labelings(fam("complete", 2), "total", 50)) == 6
-
-    def test_zero_limit_returns_nothing_without_searching(self):
-        assert iter_valid_labelings(fam("complete", 4), "edge", 0) == []
-        # a one-node budget stops any search, so [] here means none ran
-        assert iter_valid_labelings(fam("wheel", 5), "total", 0, SolveBudget(max_nodes=1)) == []
-
-    def test_negative_limit_rejected(self):
-        with pytest.raises(ParameterError, match="limit must be >= 0, got -5"):
-            iter_valid_labelings(fam("complete", 4), "edge", -5)
 
 
 def full_scan_slot_order(g, mode):

@@ -1,9 +1,9 @@
 import pytest
 
 from latlab import (FamilySpec, Graph, Labeling, PreconditionError, StructureError,
-                    cone_to_total, double_cone_collapse, generate, iter_valid_labelings,
-                    join, total_to_cone, verify)
-from oracle import brute_force_min_distinct
+                    cone_to_total, double_cone_collapse, generate, join, total_to_cone,
+                    verify)
+from oracle import brute_force_min_distinct, sample_valid_labelings
 
 
 def fam(kind, *params):
@@ -41,7 +41,7 @@ class TestConeToTotal:
 
     def test_weight_transfer_exact(self):
         k4 = fam("complete", 4)
-        for g in iter_valid_labelings(k4, "edge", 25):
+        for g in sample_valid_labelings(k4, "edge", 25):
             old = verify(k4, g).profile.weights
             base, f = cone_to_total(k4, g, apex=3)
             assert verify(base, f).profile.weights == old[:3]
@@ -62,7 +62,7 @@ class TestConeToTotal:
         cone = join(fam("path", 3), Graph(1, ()))
         perm = (0, 2, 3, 1)
         done = 0
-        for g in iter_valid_labelings(cone, "edge", 30):
+        for g in sample_valid_labelings(cone, "edge", 30):
             moved, h = relabel(cone, g, perm)
             assert moved.degree(1) == 3
             assert cone_to_total(moved, h, apex=1) == cone_to_total(cone, g, apex=3)
@@ -71,7 +71,7 @@ class TestConeToTotal:
 
     def test_label_set_accounting(self):
         k4 = fam("complete", 4)
-        g = iter_valid_labelings(k4, "edge", 1)[0]
+        g = sample_valid_labelings(k4, "edge", 1)[0]
         base, f = cone_to_total(k4, g, apex=3)
         assert sorted(f.vertex_labels + f.edge_labels) == list(range(1, base.p + base.q + 1))
 
@@ -109,7 +109,7 @@ class TestTotalToCone:
                              ids=["P3", "P4", "C4", "K1,3"])
     def test_round_trip_gives_back_graph_and_labeling(self, g):
         done = 0
-        for f in iter_valid_labelings(g, "total", 40):
+        for f in sample_valid_labelings(g, "total", 40):
             if sum(f.vertex_labels) in verify(g, f).profile.weights:
                 continue  # the apex weight would collide: no cone
             assert cone_to_total(*total_to_cone(g, f), apex=g.p) == (g, f)
@@ -146,7 +146,7 @@ class TestDoubleConeCollapse:
         w4 = fam("wheel", 4)
         top = 2 * 4 + 4 + 1
         done = 0
-        for g in iter_valid_labelings(dc, "edge", 40):
+        for g in sample_valid_labelings(dc, "edge", 40):
             w = verify(dc, g).profile.weights
             if any(top + w[4] == w[i] for i in range(4)):
                 continue
@@ -167,7 +167,7 @@ class TestDoubleConeCollapse:
         dc = fam("cycle_join_empty", 4, 2)
         perm = (0, 2, 4, 5, 1, 3)
         done = 0
-        for g in iter_valid_labelings(dc, "edge", 40):
+        for g in sample_valid_labelings(dc, "edge", 40):
             moved, h = relabel(dc, g, perm)
             try:
                 expected = double_cone_collapse(dc, g, apexes)
@@ -184,13 +184,13 @@ def test_wrong_mode_rejected():
     # each labeling below is valid in its own mode, so only the mode check
     # stands between it and a transfer that would misread its labels
     c3, p2 = fam("cycle", 3), fam("path", 2)
-    total_c3 = iter_valid_labelings(c3, "total", 1)[0]
+    total_c3 = sample_valid_labelings(c3, "total", 1)[0]
     with pytest.raises(PreconditionError, match="takes an edge labeling"):
         cone_to_total(c3, total_c3, apex=0)
     with pytest.raises(PreconditionError, match="takes a total labeling"):
         total_to_cone(p2, Labeling(None, (1,)))
     dc = TestDoubleConeCollapse.DC
-    total_dc = iter_valid_labelings(dc, "total", 1)[0]
+    total_dc = sample_valid_labelings(dc, "total", 1)[0]
     assert verify(dc, total_dc).valid
     with pytest.raises(PreconditionError, match="takes an edge labeling"):
         double_cone_collapse(dc, total_dc, (2, 3))
