@@ -1,5 +1,5 @@
-"""Exact chromatic number for small graphs by branch and bound, and a
-clique and odd-cycle lower bound for larger ones."""
+"""Exact chromatic number for small graphs by a backtracking colouring
+search, and a clique and odd-cycle lower bound for larger ones."""
 
 from __future__ import annotations
 
@@ -7,20 +7,6 @@ from .errors import TooLargeError
 from .graph import Graph
 
 MAX_EXACT_ORDER = 16
-
-
-def _greedy_upper(g: Graph) -> int:
-    order = sorted(range(g.p), key=lambda v: -g.degree(v))
-    color = {}
-    best = 0
-    for v in order:
-        used = {color[u] for u in g.neighbors(v) if u in color}
-        c = 0
-        while c in used:
-            c += 1
-        color[v] = c
-        best = max(best, c + 1)
-    return best
 
 
 def _greedy_clique(g: Graph) -> int:
@@ -59,8 +45,8 @@ def _colorable(g: Graph, k: int, order):
             i -= 1
             continue
         v, limit = order[i], min(k, used[i] + 1)
-        c = color[v] + 1
-        while c < limit and any(color[u] == c for u in nbrs[v]):
+        c, taken = color[v] + 1, {color[u] for u in nbrs[v]}
+        while c < limit and c in taken:
             c += 1
         if c < limit:
             color[v], used[i + 1] = c, max(used[i], c + 1)
@@ -98,18 +84,14 @@ def chromatic_lower_bound(g: Graph) -> int:
 
 
 def chromatic_number(g: Graph) -> int:
-    """Exact chromatic number; 0 for the empty-order graph."""
+    """Exact chromatic number; 0 for the empty-order graph.  The least k,
+    counting up from the greedy clique size, at which the colouring search
+    along falling degree finds a colouring."""
     if g.p > MAX_EXACT_ORDER:
         raise TooLargeError(
             f"exact coloring limited to order {MAX_EXACT_ORDER}, got {g.p}")
-    if g.p == 0:
-        return 0
-    if g.q == 0:
-        return 1
-    lower = _greedy_clique(g)
-    upper = _greedy_upper(g)
     order = sorted(range(g.p), key=lambda v: -g.degree(v))
-    for k in range(lower, upper):
-        if next(_colorable(g, k, order), None) is not None:
-            return k
-    return upper
+    k = _greedy_clique(g)
+    while next(_colorable(g, k, order), None) is None:
+        k += 1
+    return k

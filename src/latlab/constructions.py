@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Tuple
 
 from .errors import ParameterError, PreconditionError
-from .graph import FamilySpec, Graph, generate, is_cycle
+from .graph import FamilySpec, Graph, generate
 from .labeling import Labeling, check, verify
 
 # Interleaved label sequences v1, e1, v2, e2, ..., vn for short odd paths,
@@ -51,25 +51,26 @@ def path_from_cycle(cycle: Graph, f: Labeling, doomed: int) -> Tuple[Graph, Labe
     if f.mode != "total":
         raise PreconditionError("path_from_cycle takes a total labeling, got an edge one")
     n = cycle.p
-    if not is_cycle(cycle):
+    if n < 3 or any(cycle.degree(v) != 2 for v in range(n)):
         raise PreconditionError("input graph is not a cycle")
     if not (0 <= doomed < cycle.q):
         raise PreconditionError(f"edge id {doomed} out of range")
+    a, b = cycle.edges[doomed]
+    walk = [b]
+    prev = a
+    while len(walk) < n:  # 2-regular: every vertex has a neighbour other than prev
+        cur = walk[-1]
+        nxt = next(u for u in cycle.neighbors(cur) if u != prev)
+        prev = cur
+        walk.append(nxt)
+    if len(set(walk)) < n:  # the walk closed early: more than one cycle
+        raise PreconditionError("input graph is not a cycle")
     report = verify(cycle, f)
     if not report.valid:
         raise PreconditionError("input labeling is not a valid local antimagic total labeling")
     if f.edge_labels[doomed] != 1:
         raise PreconditionError(
             f"doomed edge must be labeled 1, got {f.edge_labels[doomed]}")
-
-    a, b = cycle.edges[doomed]
-    walk = [b]
-    prev = a
-    while len(walk) < n:  # a cycle: the walk from b meets every vertex, ending at a
-        cur = walk[-1]
-        nxt = next(u for u in cycle.neighbors(cur) if u != prev)
-        prev = cur
-        walk.append(nxt)
 
     label = dict(zip(cycle.edges, f.edge_labels))
     path = generate(FamilySpec("path", (n,)))

@@ -86,16 +86,7 @@ class Graph(Frozen):
     @classmethod
     def from_edges(cls, p: int, edges: Iterable[Edge]) -> "Graph":
         """Build a graph from an arbitrary-order edge list, canonicalizing it."""
-        canon = []
-        for u, v in edges:
-            if u == v:
-                raise ValidationError(f"self-loop at vertex {u}")
-            canon.append((min(u, v), max(u, v)))
-        canon.sort()
-        for i in range(1, len(canon)):
-            if canon[i] == canon[i - 1]:
-                raise ValidationError(f"duplicate edge {canon[i]}")
-        return cls(p, tuple(canon))
+        return cls(p, tuple(sorted((min(u, v), max(u, v)) for u, v in edges)))
 
     @property
     def q(self) -> int:
@@ -121,17 +112,6 @@ def has_isolated_edge(g: Graph) -> bool:
     """An edge whose endpoints have no other edge: no edge labeling of g
     is local antimagic, as both endpoints weigh its label."""
     return any(g.degree(u) == 1 and g.degree(v) == 1 for u, v in g.edges)
-
-
-def is_cycle(g: Graph) -> bool:
-    """Connected and 2-regular: the walk from vertex 0 meets every vertex."""
-    if g.p < 3 or any(g.degree(v) != 2 for v in range(g.p)):
-        return False
-    prev, v, length = 0, g.neighbors(0)[0], 1
-    while v:
-        a, b = g.neighbors(v)
-        prev, v, length = v, b if a == prev else a, length + 1
-    return length == g.p
 
 
 # ---------------------------------------------------------------------------

@@ -7,12 +7,13 @@ checks its witness with the package's public verifier.  It also lists
 valid labelings, every one or a seeded sample, for the transform tests and
 the tree's completeness test.  A reference annealer, which rescores every
 labeling from scratch, checks the solver's incremental witness search move
-by move.
+by move.  Two graph references check `coloring`: the greedy clique by edge
+scans and the chromatic number by trying every colouring.
 """
 
 import random
 from collections import Counter
-from itertools import islice, permutations
+from itertools import islice, permutations, product
 from math import exp
 
 from latlab import IntegrityError, Labeling, SearchMode, SolveResult, TooLargeError, verify
@@ -184,3 +185,14 @@ def greedy_clique_by_edge_scan(g) -> int:
                 clique.append(v)
         best = max(best, len(clique))
     return best
+
+
+def chromatic_number_by_brute_force(g) -> int:
+    """The least k for which some assignment of k colours to the vertices,
+    tried in `product` order, leaves no edge with equal ends: the reference
+    for `coloring.chromatic_number`."""
+    k = 0
+    while not any(all(c[u] != c[v] for u, v in g.edges)
+                  for c in product(range(k), repeat=g.p)):
+        k += 1
+    return k

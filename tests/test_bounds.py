@@ -7,7 +7,8 @@ from latlab import (FamilySpec, Graph, SolveBudget, TooLargeError, bounds_report
                     chi_lat_lower_bound, chromatic_number, generate, known_value,
                     solve_min_distinct)
 from latlab.coloring import _colorable, _greedy_clique
-from oracle import greedy_clique_by_edge_scan
+from latlab.graph import _FAMILIES
+from oracle import chromatic_number_by_brute_force, greedy_clique_by_edge_scan
 
 QUICK = SolveBudget(max_nodes=50_000_000, max_millis=120_000)
 
@@ -28,6 +29,14 @@ class TestChromaticNumber:
 
     def test_empty_order(self):
         assert chromatic_number(Graph(0, ())) == 0
+
+    def test_matches_brute_force_on_the_atlas(self):
+        nx = pytest.importorskip("networkx")
+        graphs = [Graph.from_edges(G.number_of_nodes(), G.edges())
+                  for G in nx.graph_atlas_g() if G.number_of_nodes() <= 6]
+        assert len(graphs) == 209
+        assert [chromatic_number(g) for g in graphs] == \
+            [chromatic_number_by_brute_force(g) for g in graphs]
 
     def test_too_large(self):
         with pytest.raises(TooLargeError):
@@ -152,18 +161,21 @@ class TestKnownValues:
         assert (kr.low, kr.high) == (3, 3)
 
     def test_known_table_vs_solver_at_small_scale(self):
-        # any mismatch here is release-blocking
-        specs = [FamilySpec("cycle", (3,)), FamilySpec("cycle", (4,)),
-                 FamilySpec("cycle", (5,)), FamilySpec("path", (2,)),
-                 FamilySpec("path", (3,)), FamilySpec("path", (4,)),
-                 FamilySpec("complete", (3,)), FamilySpec("complete", (4,)),
-                 FamilySpec("empty", (3,)), FamilySpec("k2_plus_empty", (2,)),
-                 FamilySpec("k2_plus_empty", (3,))]
-        for spec in specs:
-            kr = known_value(spec)
-            res = solve_min_distinct(generate(spec), "total", QUICK)
-            assert res.status == "exact"
-            assert kr.low <= res.value <= kr.high, spec
+        # every proven entry of order 1-7: chi_lat in total mode, chi_la
+        # (fans) in edge mode; any mismatch here is release-blocking
+        checked = 0
+        for kind, (least, size, _) in _FAMILIES.items():
+            for params in product(*(range(lo, 8) for lo in least)):
+                spec = FamilySpec(kind, params)
+                kr = known_value(spec)
+                if not 1 <= size(*params)[0] <= 7 or kr is None or kr.status == "conjecture":
+                    continue
+                mode = "total" if kr.quantity == "chi_lat" else "edge"
+                res = solve_min_distinct(generate(spec), mode, QUICK)
+                assert res.status == "exact", spec
+                assert kr.low <= res.value <= kr.high, spec
+                checked += 1
+        assert checked == 79
 
 
 class TestBoundsReport:

@@ -129,6 +129,20 @@ class TestVerify:
         code, _, err = run(capsys, "verify", str(cert_path))
         assert code == 2
 
+    def test_equal_adjacent_weights_are_invalid(self, capsys, tmp_path):
+        # P4, total: a bijection with weights (7, 15, 15, 9), so edge 1 has equal ends
+        p4 = latlab.generate(latlab.FamilySpec("path", (4,)))
+        cert = latlab.make_certificate(p4, latlab.Labeling((1, 2, 3, 4), (6, 7, 5)), "test")
+        cert_path = tmp_path / "cert.json"
+        cert_path.write_text(latlab.write_certificate(cert))
+        code, out, _ = run(capsys, "verify", str(cert_path))
+        assert (code, out) == (2, "INVALID: violations on edges [1]\n")
+        code, out, _ = run(capsys, "verify", str(cert_path), "--json")
+        doc = json.loads(out)
+        assert code == 2
+        assert (doc["valid"], doc["bijection_ok"], doc["violations"], doc["distinct"]) == \
+            (False, True, [1], 3)
+        assert doc["weights"] == [7, 15, 15, 9]
 
     def test_missing_file_is_invalid_input(self, capsys, tmp_path):
         code, _, err = run(capsys, "verify", str(tmp_path / "absent.json"))
